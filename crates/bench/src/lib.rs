@@ -14,8 +14,7 @@
 use qaec::{
     check_equivalence, fidelity_alg1, fidelity_alg2, mpo_favored, AlgorithmChoice, AlgorithmUsed,
     CacheOutcome, CheckOptions, Checker, QaecError, Service, ServiceConfig, ServiceQuery,
-    ServiceReply, ServiceRequest, SharedTableMode, StoreReclaimMode, SweepPoint, TermOrder,
-    Verdict,
+    ServiceReply, ServiceRequest, StoreReclaimMode, SweepPoint, TermOrder, Verdict,
 };
 use qaec_circuit::generators::{
     bernstein_vazirani_all_ones, ghz, grover_dac21, mod_mul_7x1_mod15, qft, quantum_volume,
@@ -23,6 +22,7 @@ use qaec_circuit::generators::{
 };
 use qaec_circuit::noise_insertion::insert_random_noise;
 use qaec_circuit::{Circuit, NoiseChannel};
+use qaec_cli::json;
 use std::time::{Duration, Instant};
 
 /// Seed namespace for noise placement, fixed so every run of the harness
@@ -186,36 +186,21 @@ pub fn run_baseline(ideal: &Circuit, noisy: &Circuit, timeout: Duration) -> Outc
 
 /// Runs Algorithm II with a deadline.
 pub fn run_alg2(ideal: &Circuit, noisy: &Circuit, timeout: Duration) -> Outcome {
-    run_alg2_with(ideal, noisy, timeout, 1, SharedTableMode::Auto)
+    run_alg2_with_stats(ideal, noisy, timeout, 1).0
 }
 
-/// Runs Algorithm II with an explicit worker count and storage backend —
-/// the plan-level parallel driver when the shared store is enabled, the
-/// private sequential driver under [`SharedTableMode::Off`].
-pub fn run_alg2_with(
-    ideal: &Circuit,
-    noisy: &Circuit,
-    timeout: Duration,
-    threads: usize,
-    shared_table: SharedTableMode,
-) -> Outcome {
-    run_alg2_with_stats(ideal, noisy, timeout, threads, shared_table).0
-}
-
-/// [`run_alg2_with`], also returning the run's decision-diagram
-/// statistics — shared-store rows report their `store_bytes` footprint
-/// from here (zeroed statistics on TO/MO).
+/// Runs Algorithm II on `threads` plan workers, also returning the
+/// run's decision-diagram statistics — rows report their `store_bytes`
+/// footprint from here (zeroed statistics on TO/MO).
 pub fn run_alg2_with_stats(
     ideal: &Circuit,
     noisy: &Circuit,
     timeout: Duration,
     threads: usize,
-    shared_table: SharedTableMode,
 ) -> (Outcome, qaec::TddStats) {
     let opts = CheckOptions {
         deadline: Some(Instant::now() + timeout),
         threads,
-        shared_table,
         ..CheckOptions::default()
     };
     let start = Instant::now();
@@ -335,159 +320,6 @@ pub fn measure_best(max_repeats: usize, mut f: impl FnMut() -> Outcome) -> Outco
         }
     }
     best.expect("at least one run")
-}
-
-/// The hand-rolled JSON writer behind the bench artifacts, factored out
-/// so other frontends (the CLI's `check --json` / `sweep --json` and the
-/// `qaec serve` responses) emit the same shape without a serde
-/// dependency: objects of string and number fields, rendered in
-/// insertion order, no escapes. Nesting is possible through
-/// [`Object::raw`](json::Object::raw) (the serve protocol's `points`
-/// arrays); the artifact *reader*
-/// ([`records_from_json`]) still only handles the flat shape.
-pub mod json {
-    /// Replaces characters the minimal parser cannot round-trip
-    /// (quotes, backslashes, control characters) with `_`. Values fed
-    /// through here are harness- or checker-chosen identifiers, never
-    /// user data that must survive verbatim.
-    pub fn sanitize(value: &str) -> String {
-        value
-            .chars()
-            .map(|c| {
-                if c == '"' || c == '\\' || c.is_control() {
-                    '_'
-                } else {
-                    c
-                }
-            })
-            .collect()
-    }
-
-    /// A flat JSON object under construction: fields render in insertion
-    /// order.
-    #[derive(Clone, Debug, Default)]
-    pub struct Object {
-        fields: Vec<(String, String)>,
-    }
-
-    impl Object {
-        /// An empty object.
-        pub fn new() -> Object {
-            Object::default()
-        }
-
-        /// Appends a string field (sanitised, see [`sanitize`]).
-        pub fn string(mut self, key: &str, value: &str) -> Object {
-            self.fields
-                .push((key.to_string(), format!("\"{}\"", sanitize(value))));
-            self
-        }
-
-        /// Appends a float field with `decimals` fractional digits.
-        pub fn number(mut self, key: &str, value: f64, decimals: usize) -> Object {
-            self.fields
-                .push((key.to_string(), format!("{value:.decimals$}")));
-            self
-        }
-
-        /// Appends an integer field.
-        pub fn int(mut self, key: &str, value: u64) -> Object {
-            self.fields.push((key.to_string(), value.to_string()));
-            self
-        }
-
-        /// Appends a boolean field.
-        pub fn boolean(mut self, key: &str, value: bool) -> Object {
-            self.fields.push((
-                key.to_string(),
-                if value { "true" } else { "false" }.to_string(),
-            ));
-            self
-        }
-
-        /// Appends a pre-rendered JSON value verbatim — the escape hatch
-        /// for nested arrays/objects (e.g. a `"points"` array of
-        /// [`Object::render`]ed rows). The caller owns the value's
-        /// well-formedness.
-        pub fn raw(mut self, key: &str, value: impl Into<String>) -> Object {
-            self.fields.push((key.to_string(), value.into()));
-            self
-        }
-
-        /// Appends every field of `other`, in order — used to graft a
-        /// shared row shape (the CLI's `check --json` object) into a
-        /// larger envelope (a serve response) without re-listing fields.
-        pub fn extend(mut self, other: Object) -> Object {
-            self.fields.extend(other.fields);
-            self
-        }
-
-        /// Renders the object on one line: `{"k": v, ...}`.
-        pub fn render(&self) -> String {
-            let body: Vec<String> = self
-                .fields
-                .iter()
-                .map(|(k, v)| format!("\"{k}\": {v}"))
-                .collect();
-            format!("{{{}}}", body.join(", "))
-        }
-    }
-
-    /// Renders a stable, human-diffable array: one object per line,
-    /// two-space indent, trailing newline — the artifact shape
-    /// [`super::records_from_json`] parses.
-    pub fn array(objects: &[Object]) -> String {
-        let mut out = String::from("[\n");
-        for (i, object) in objects.iter().enumerate() {
-            out.push_str("  ");
-            out.push_str(&object.render());
-            out.push_str(if i + 1 < objects.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("]\n");
-        out
-    }
-
-    /// Renders an array on ONE line: `[{...}, {...}]` — the shape
-    /// line-delimited protocols need for nested rows ([`Object::raw`]).
-    pub fn array_inline(objects: &[Object]) -> String {
-        let body: Vec<String> = objects.iter().map(Object::render).collect();
-        format!("[{}]", body.join(", "))
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn objects_render_flat_json() {
-            let o = Object::new()
-                .string("name", "qft\"3\\k4\n")
-                .number("wall_ms", 1.5, 3)
-                .int("max_nodes", 42);
-            assert_eq!(
-                o.render(),
-                "{\"name\": \"qft_3_k4_\", \"wall_ms\": 1.500, \"max_nodes\": 42}"
-            );
-            let rendered = array(&[Object::new().int("a", 1), Object::new().int("a", 2)]);
-            assert_eq!(rendered, "[\n  {\"a\": 1},\n  {\"a\": 2}\n]\n");
-            assert_eq!(array(&[]), "[\n]\n");
-        }
-
-        #[test]
-        fn nested_and_boolean_rendering() {
-            let rows = [Object::new().int("k", 1), Object::new().int("k", 2)];
-            assert_eq!(array_inline(&rows), "[{\"k\": 1}, {\"k\": 2}]");
-            assert_eq!(array_inline(&[]), "[]");
-            let envelope = Object::new()
-                .boolean("ok", true)
-                .raw("points", array_inline(&rows))
-                .extend(Object::new().string("cache", "hit"));
-            assert_eq!(
-                envelope.render(),
-                "{\"ok\": true, \"points\": [{\"k\": 1}, {\"k\": 2}], \"cache\": \"hit\"}"
-            );
-        }
-    }
 }
 
 /// One measured run, as serialised into the per-run JSON artifacts
@@ -699,14 +531,13 @@ pub fn read_records(path: &str) -> Result<Vec<RunRecord>, String> {
 /// paper-table scenarios small enough to finish in seconds but broad
 /// enough to cover both algorithms, the sequential and the work-stealing
 /// parallel engine paths, ε early termination, and both storage backends
-/// (shared concurrent store vs private per-worker managers).
+/// (the private one-worker manager and the shared concurrent store).
 ///
 /// Besides measuring, this *asserts* the cross-run invariants the
 /// scenarios imply (parallel ε verdict equals the sequential one, early
 /// exit computes fewer terms than exact mode, fidelities agree across
-/// algorithms, the shared store allocates fewer aggregate nodes than the
-/// private-parallel path and records cross-thread unique-table hits), so
-/// a semantics regression fails the job even when timings look fine.
+/// algorithms, the shared store records cross-thread unique-table hits),
+/// so a semantics regression fails the job even when timings look fine.
 ///
 /// # Panics
 ///
@@ -804,55 +635,40 @@ pub fn run_smoke_suite(timeout: Duration) -> Vec<RunRecord> {
         assert!((f1 - f2).abs() < 1e-6, "alg1-parallel {f1} vs alg2 {f2}");
     }
 
-    // The same qft4 workload on both storage backends, 4 workers each:
-    // the shared store must beat per-worker rebuilding on aggregate
-    // allocations, record cross-thread unique-table hits, and agree
-    // with Algorithm II — the Table II "Opt." sharing, recovered in
+    // The same qft4 workload on 4 workers sharing one store, with its
+    // store footprint: the shared store must record cross-thread
+    // unique-table hits — the Table II "Opt." sharing, recovered in
     // parallel.
-    let run_qft4_backend = |shared_table: SharedTableMode| {
-        let mut stats = qaec::TddStats::default();
-        let outcome = measure_best(2, || {
-            let opts = CheckOptions {
-                deadline: Some(Instant::now() + timeout),
-                threads: 4,
-                term_order: TermOrder::Lexicographic,
-                shared_table,
-                ..CheckOptions::default()
-            };
-            let start = Instant::now();
-            let report =
-                fidelity_alg1(&qft4, &qft4_noisy, None, &opts).expect("qft4 backend scenario");
-            stats = report.stats;
-            Outcome::Done {
-                fidelity: report.fidelity_lower,
-                time: start.elapsed(),
-                nodes: report.max_nodes,
-                terms: report.terms_computed,
-            }
-        });
-        (outcome, stats)
-    };
-    let (shared_outcome, shared_stats) = run_qft4_backend(SharedTableMode::On);
+    let mut shared_stats = qaec::TddStats::default();
+    let shared_outcome = measure_best(2, || {
+        let opts = CheckOptions {
+            deadline: Some(Instant::now() + timeout),
+            threads: 4,
+            term_order: TermOrder::Lexicographic,
+            ..CheckOptions::default()
+        };
+        let start = Instant::now();
+        let report = fidelity_alg1(&qft4, &qft4_noisy, None, &opts).expect("qft4 shared scenario");
+        shared_stats = report.stats;
+        Outcome::Done {
+            fidelity: report.fidelity_lower,
+            time: start.elapsed(),
+            nodes: report.max_nodes,
+            terms: report.terms_computed,
+        }
+    });
     push(&mut records, "qft4_k3_alg1_t4_shared", &shared_outcome);
     let row = records.last_mut().expect("just pushed");
     row.store_bytes = shared_stats.store_bytes;
     row.peak_store_bytes = shared_stats.peak_store_bytes;
-    let (private_outcome, private_stats) = run_qft4_backend(SharedTableMode::Off);
-    push(&mut records, "qft4_k3_alg1_t4_private", &private_outcome);
     println!(
-        "shared-store payoff (qft4_k3, 4 workers): nodes created {} vs {} private \
-         ({} cross-thread unique hits)",
-        shared_stats.nodes_created, private_stats.nodes_created, shared_stats.cross_unique_hits,
+        "shared-store sharing (qft4_k3, 4 workers): {} nodes created, \
+         {} cross-thread unique hits",
+        shared_stats.nodes_created, shared_stats.cross_unique_hits,
     );
     assert!(
         shared_stats.cross_unique_hits > 0,
         "shared store must record cross-worker unique-table hits"
-    );
-    assert!(
-        shared_stats.nodes_created < private_stats.nodes_created,
-        "shared store must allocate fewer nodes than per-worker rebuilding: {} vs {}",
-        shared_stats.nodes_created,
-        private_stats.nodes_created
     );
 
     // Two more Table I rows (benchmark-gate coverage): the Grover row on
@@ -1011,39 +827,49 @@ pub fn run_smoke_suite(timeout: Duration) -> Vec<RunRecord> {
 
     // Vectorised lane sweep (the multi-lane weight engine end to end):
     // the same compiled qft5 sweep with its 8 points batched into ONE
-    // width-8 lane contraction, against the same session forced onto the
-    // scalar per-point replay (`sweep_lanes: 1`). The per-point results
-    // must be bit-identical — the lane engine's whole contract — and
-    // every point of the batch must carry the batch's shared
-    // single-traversal statistics, so a silent scalar fallback (a lane
-    // divergence on this preset) fails the job instead of just running
-    // slower.
-    let lane_opts = |lanes: usize| CheckOptions {
-        algorithm: AlgorithmChoice::AlgorithmII,
-        deadline: Some(Instant::now() + timeout),
-        threads: 1,
-        sweep_lanes: lanes,
-        ..CheckOptions::default()
-    };
-    let run_lane_sweep = |lanes: usize| -> (Duration, Vec<SweepPoint>) {
-        let compiled = Checker::new(&qft5, &qft5_noisy)
-            .options(lane_opts(lanes))
+    // width-8 lane contraction, against eight single-point sweeps on one
+    // compiled session (a one-point sweep always runs the scalar
+    // per-point path). The per-point results must be bit-identical —
+    // the lane engine's whole contract — and every point of the batch
+    // must carry the batch's shared single-traversal statistics, so a
+    // silent scalar fallback (a lane divergence on this preset) fails
+    // the job instead of just running slower.
+    let lane_session = || {
+        Checker::new(&qft5, &qft5_noisy)
+            .options(CheckOptions {
+                algorithm: AlgorithmChoice::AlgorithmII,
+                deadline: Some(Instant::now() + timeout),
+                threads: 1,
+                ..CheckOptions::default()
+            })
             .compile()
-            .expect("qft5 lane session compiles");
+            .expect("qft5 lane session compiles")
+    };
+    let run_lane_sweep = || -> (Duration, Vec<SweepPoint>) {
+        let compiled = lane_session();
         let start = Instant::now();
         let points = compiled
             .sweep_noise(sweep_eps, &sweep_strengths)
             .expect("qft5 lane sweep");
         (start.elapsed(), points)
     };
+    let run_replay = || -> (Duration, Vec<SweepPoint>) {
+        let compiled = lane_session();
+        let start = Instant::now();
+        let points = sweep_strengths
+            .iter()
+            .flat_map(|&p| compiled.sweep_noise(sweep_eps, &[p]).expect("qft5 replay"))
+            .collect();
+        (start.elapsed(), points)
+    };
     // Best-of-3 per side: the gate below compares their ratio.
-    let (mut lane_time, lane_points) = run_lane_sweep(8);
+    let (mut lane_time, lane_points) = run_lane_sweep();
     for _ in 0..2 {
-        lane_time = lane_time.min(run_lane_sweep(8).0);
+        lane_time = lane_time.min(run_lane_sweep().0);
     }
-    let (mut replay_time, replay_points) = run_lane_sweep(1);
+    let (mut replay_time, replay_points) = run_replay();
     for _ in 0..2 {
-        replay_time = replay_time.min(run_lane_sweep(1).0);
+        replay_time = replay_time.min(run_replay().0);
     }
     for (k, (lane, replay)) in lane_points.iter().zip(&replay_points).enumerate() {
         assert_eq!(
@@ -1118,9 +944,7 @@ pub fn run_smoke_suite(timeout: Duration) -> Vec<RunRecord> {
     // workload: four disjoint 6-qubit QV blocks, whose doubled network
     // decomposes into four independent contraction branches. The shared
     // canonical store makes `--threads` a pure performance knob, so t1
-    // and t4 must report bit-identical fidelity and `max_nodes`; the
-    // private sequential driver (`--shared-table off`) must agree to
-    // the interning tolerance.
+    // and t4 must report bit-identical fidelity and `max_nodes`.
     let sim = tile(&quantum_volume(6, 5, NOISE_SEED), 4);
     let sim_noisy = insert_random_noise(
         &sim,
@@ -1133,8 +957,7 @@ pub fn run_smoke_suite(timeout: Duration) -> Vec<RunRecord> {
     // repeats to shake scheduler noise out of the minimum.
     let mut alg2_t1_stats = qaec::TddStats::default();
     let alg2_t1 = measure_best(5, || {
-        let (outcome, stats) =
-            run_alg2_with_stats(&sim, &sim_noisy, timeout, 1, SharedTableMode::On);
+        let (outcome, stats) = run_alg2_with_stats(&sim, &sim_noisy, timeout, 1);
         alg2_t1_stats = stats;
         outcome
     });
@@ -1144,8 +967,7 @@ pub fn run_smoke_suite(timeout: Duration) -> Vec<RunRecord> {
     row.peak_store_bytes = alg2_t1_stats.peak_store_bytes;
     let mut alg2_t4_stats = qaec::TddStats::default();
     let alg2_t4 = measure_best(5, || {
-        let (outcome, stats) =
-            run_alg2_with_stats(&sim, &sim_noisy, timeout, 4, SharedTableMode::On);
+        let (outcome, stats) = run_alg2_with_stats(&sim, &sim_noisy, timeout, 4);
         alg2_t4_stats = stats;
         outcome
     });
@@ -1153,10 +975,6 @@ pub fn run_smoke_suite(timeout: Duration) -> Vec<RunRecord> {
     let row = records.last_mut().expect("just pushed");
     row.store_bytes = alg2_t4_stats.store_bytes;
     row.peak_store_bytes = alg2_t4_stats.peak_store_bytes;
-    let alg2_private = measure_best(3, || {
-        run_alg2_with(&sim, &sim_noisy, timeout, 1, SharedTableMode::Off)
-    });
-    push(&mut records, "qv6x4_k8_alg2_private", &alg2_private);
     if let (
         Outcome::Done {
             fidelity: f1,
@@ -1202,38 +1020,11 @@ pub fn run_smoke_suite(timeout: Duration) -> Vec<RunRecord> {
             );
         }
     }
-    if let (Some(fs), Some(fp)) = (alg2_t1.fidelity(), alg2_private.fidelity()) {
-        assert!(
-            (fs - fp).abs() < 1e-9,
-            "shared and private alg2 drivers must agree: {fs} vs {fp}"
-        );
-    }
-    // The shared store's sequential overhead gate: with scope-local
-    // interning glue keeping wdiv's id fast paths hot, the shared t1
-    // driver must stay within 1.5× of the private sequential driver on
-    // the same workload (it was ~2.26× before the read-mostly fast
-    // path; measured ~1.4–1.5×). Both cells are sequential minimums of
-    // repeated runs, so no core guard — only a floor against
-    // sub-millisecond jitter, which this ~200ms workload clears by
-    // orders of magnitude.
-    if let (Some(ts), Some(tp)) = (alg2_t1.time(), alg2_private.time()) {
-        let gap = ts.as_secs_f64() / tp.as_secs_f64();
-        println!(
-            "shared-store sequential gap (qv6x4_k8): {:.1}ms shared vs {:.1}ms private — {gap:.2}x",
-            ts.as_secs_f64() * 1e3,
-            tp.as_secs_f64() * 1e3,
-        );
-        if tp.as_secs_f64() >= 0.02 {
-            assert!(
-                gap <= 1.5,
-                "the shared sequential driver must stay within 1.5x of private: {gap:.2}x"
-            );
-        }
-    }
 
     // Epoch-based store reclamation on the tiled qv6x4 workload, scalar
-    // per-point path (lanes: 1, so every point is its own traversal and
-    // its own quiescent boundary). Reclaim-off accumulates all 8
+    // per-point path (eight single-point sweeps on one session, so every
+    // point is its own traversal and its own quiescent boundary).
+    // Reclaim-off accumulates all 8
     // points' arenas in one append-only store; reclaim-on retires them
     // at each point boundary. Gated: every fidelity and verdict
     // bit-identical between the two modes, and the reclaim-off peak
@@ -1244,7 +1035,6 @@ pub fn run_smoke_suite(timeout: Duration) -> Vec<RunRecord> {
         algorithm: AlgorithmChoice::AlgorithmII,
         deadline: Some(Instant::now() + timeout),
         threads: 1,
-        sweep_lanes: 1,
         store_reclaim: reclaim,
         ..CheckOptions::default()
     };
@@ -1254,9 +1044,14 @@ pub fn run_smoke_suite(timeout: Duration) -> Vec<RunRecord> {
             .compile()
             .expect("qv6x4 reclaim session compiles");
         let start = Instant::now();
-        let points = compiled
-            .sweep_noise(sweep_eps, &sweep_strengths)
-            .expect("qv6x4 reclaim sweep");
+        let points: Vec<SweepPoint> = sweep_strengths
+            .iter()
+            .flat_map(|&p| {
+                compiled
+                    .sweep_noise(sweep_eps, &[p])
+                    .expect("qv6x4 reclaim sweep")
+            })
+            .collect();
         let elapsed = start.elapsed();
         (
             elapsed,

@@ -20,21 +20,22 @@
 //!   `docs/PROTOCOL.md`).
 //!
 //! `check` and `sweep` accept `--json` for machine-readable output
-//! (flat objects, the same hand-rolled writer as the bench artifacts);
+//! (flat objects from the hand-rolled writer in [`json`], which the
+//! bench artifacts use too);
 //! `serve` responses embed the *same* objects, so a field documented
 //! once in `docs/PROTOCOL.md` means the same thing everywhere.
 //!
 //! Noisy circuits are OpenQASM 2 files with `// qaec.noise:` directives
 //! (see `qaec_circuit::qasm`).
 
+pub mod json;
 pub mod serve;
 
 use qaec::{
     check_equivalence, fidelity_alg1, fidelity_alg2, fidelity_monte_carlo, AlgorithmChoice,
-    CheckOptions, Checker, EpsilonPoint, EquivalenceReport, SharedTableMode, StoreReclaimMode,
-    SweepPoint, TddStats, Verdict,
+    CheckOptions, Checker, EpsilonPoint, EquivalenceReport, StoreReclaimMode, SweepPoint, TddStats,
+    Verdict,
 };
-use qaec_bench::json;
 use qaec_circuit::{qasm, Circuit};
 use qaec_tensornet::Strategy;
 use serve::ServeArgs;
@@ -108,17 +109,9 @@ pub struct CliOptions {
     pub timeout: Option<Duration>,
     /// Worker threads for Algorithm I and the Monte-Carlo estimator.
     pub threads: usize,
-    /// Shared concurrent TDD store across workers (`--shared-table`).
-    pub shared_table: SharedTableMode,
     /// Shared-store reclamation at quiescent boundaries
     /// (`--store-reclaim`).
     pub store_reclaim: StoreReclaimMode,
-    /// Maximum lane width for vectorised noise sweeps (`--lanes`).
-    pub sweep_lanes: usize,
-    /// Cross-term computed-table seeding between workers
-    /// (`--seed-cache on|off`; on by default, a no-op off the shared
-    /// store).
-    pub seed_cache: bool,
     /// MPO singular-value truncation threshold (`--svd-threshold`;
     /// Algorithm III only).
     pub svd_threshold: f64,
@@ -142,10 +135,7 @@ impl Default for CliOptions {
             strategy: Strategy::MinFill,
             timeout: None,
             threads: qaec::default_threads(),
-            shared_table: qaec::default_shared_table(),
             store_reclaim: qaec::default_store_reclaim(),
-            sweep_lanes: qaec::default_sweep_lanes(),
-            seed_cache: true,
             svd_threshold: core.svd_threshold,
             max_bond: core.max_bond,
             optimize: false,
@@ -161,10 +151,7 @@ impl CliOptions {
             algorithm: self.algorithm,
             strategy: self.strategy,
             threads: self.threads,
-            shared_table: self.shared_table,
             store_reclaim: self.store_reclaim,
-            sweep_lanes: self.sweep_lanes,
-            seed_cont_cache: self.seed_cache,
             svd_threshold: self.svd_threshold,
             max_bond: self.max_bond,
             local_optimization: self.optimize,
@@ -194,10 +181,10 @@ SERVE:
     content-keyed cache of compiled sessions. Repeated pairs hit the
     cache; --cache-bytes budgets its warm-store footprint (LRU
     eviction). Wire format: docs/PROTOCOL.md. Serve takes the checker
-    OPTIONS below except --timeout, --samples/--seed and --json
-    (responses are always JSON); --threads also sets how many distinct
-    pairs a stdin batch checks concurrently. A final stats footer goes
-    to stderr.
+    OPTIONS below except --timeout, --samples/--seed, --algorithm mc,
+    --json and --verbose (responses are always JSON) and the sweep
+    points; --threads also sets how many distinct pairs a stdin batch
+    checks concurrently. A final stats footer goes to stderr.
 
 SWEEP:
     Compiles the pair once (validation, algorithm selection, variable
@@ -220,28 +207,13 @@ OPTIONS:
     --timeout <seconds>        abort after this long (default: none)
     --threads <n>              worker threads: Algorithm I / MC steal
                                trace terms (composes with --epsilon
-                               early termination), Algorithm II runs
-                               independent contraction-plan steps —
-                               bit-identical results at any count
-                               (default: QAEC_THREADS env var, else 1)
-    --shared-table <on|off|auto>
-                               share one concurrent TDD store across the
-                               workers (auto = on when --threads > 1 for
-                               Algorithm I / MC, and always for
-                               Algorithm II; default: QAEC_SHARED_TABLE
-                               env var, else auto). Shared runs
-                               hash-cons sub-diagrams across threads and
-                               are bit-reproducible for every thread
-                               count; off restores the fastest private
-                               sequential Algorithm II driver
-    --lanes <n>                sweep: maximum lane width for the
-                               vectorised Algorithm II noise sweep —
-                               points are batched and contracted in
-                               multi-lane passes (rounded down to 1, 2,
-                               4 or 8; 1 forces the scalar per-point
-                               path; results are bit-identical either
-                               way; default: QAEC_SWEEP_LANES env var,
-                               else 8)
+                               early termination) on one shared TDD
+                               store, or a private one at one thread;
+                               Algorithm II runs independent
+                               contraction-plan steps on the shared
+                               store — bit-identical results at any
+                               count (default: QAEC_THREADS env var,
+                               else 1)
     --store-reclaim <on|off|auto>
                                retire shared-store arenas at quiescent
                                boundaries (between sweep points / serve
@@ -252,10 +224,6 @@ OPTIONS:
                                is value-transparent, results are
                                bit-identical either way; default:
                                QAEC_STORE_RECLAIM env var, else auto)
-    --seed-cache <on|off>      seed each worker's contraction cache from
-                               the heaviest completed term (shared-table
-                               runs only; default on — profiled value-
-                               transparent; off is the escape hatch)
     --svd-threshold <t>        MPO (algorithm mpo / the auto portfolio):
                                discard singular values below t·σ_max at
                                each truncation; every discard widens the
@@ -279,6 +247,149 @@ EXIT CODES (check):
     3 = inconclusive (--algorithm mpo only: the certified interval
         straddles 1 − ε; re-run exact or loosen --svd-threshold)
 ";
+
+/// A cursor over flag arguments; `--flag value` and `--flag=value` are
+/// both accepted.
+pub(crate) struct Flags<'a> {
+    args: &'a [String],
+    next: usize,
+    /// The current flag's inline `=value`, if it had one.
+    inline: Option<&'a str>,
+}
+
+impl<'a> Flags<'a> {
+    pub(crate) fn new(args: &'a [String]) -> Flags<'a> {
+        Flags {
+            args,
+            next: 0,
+            inline: None,
+        }
+    }
+
+    /// The next flag's name: the argument up to its first `=`.
+    pub(crate) fn next_flag(&mut self) -> Option<&'a str> {
+        let raw = self.args.get(self.next)?.as_str();
+        self.next += 1;
+        let (name, inline) = match raw.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (raw, None),
+        };
+        self.inline = inline;
+        Some(name)
+    }
+
+    /// The current flag's value: its inline value, else the next
+    /// argument.
+    pub(crate) fn value(&mut self, name: &str) -> Result<&'a str, String> {
+        if let Some(value) = self.inline.take() {
+            return Ok(value);
+        }
+        let value = self
+            .args
+            .get(self.next)
+            .ok_or_else(|| format!("missing value for {name}"))?;
+        self.next += 1;
+        Ok(value)
+    }
+
+    /// Boolean flags must not silently swallow an inline value
+    /// (`--json=false` would otherwise *enable* the flag).
+    fn boolean(&self, name: &str) -> Result<bool, String> {
+        match self.inline {
+            None => Ok(true),
+            Some(v) => Err(format!("{name} takes no value (got `{v}`)")),
+        }
+    }
+}
+
+/// Applies the flag `name` to `options` when it is one of the checker
+/// flags that `fidelity`, `check`, `sweep` and `serve` share, returning
+/// whether it was one.
+///
+/// # Errors
+///
+/// A human-readable message on a malformed value.
+pub(crate) fn parse_checker_flag(
+    options: &mut CliOptions,
+    name: &str,
+    flags: &mut Flags<'_>,
+) -> Result<bool, String> {
+    match name {
+        "--algorithm" => match flags.value(name)? {
+            "auto" => options.algorithm = AlgorithmChoice::Auto,
+            "1" | "I" | "i" => options.algorithm = AlgorithmChoice::AlgorithmI,
+            "2" | "II" | "ii" => options.algorithm = AlgorithmChoice::AlgorithmII,
+            "mpo" | "3" | "III" | "iii" => options.algorithm = AlgorithmChoice::Mpo,
+            "mc" => options.mc_samples = Some(options.mc_samples.unwrap_or(2000)),
+            other => return Err(format!("unknown algorithm `{other}`")),
+        },
+        "--samples" => {
+            options.mc_samples = Some(
+                flags
+                    .value(name)?
+                    .parse::<usize>()
+                    .map_err(|_| "bad --samples value".to_string())?,
+            );
+        }
+        "--seed" => {
+            options.mc_seed = flags
+                .value(name)?
+                .parse::<u64>()
+                .map_err(|_| "bad --seed value".to_string())?;
+        }
+        "--strategy" => {
+            options.strategy = match flags.value(name)? {
+                "sequential" => Strategy::Sequential,
+                "greedy" => Strategy::GreedySize,
+                "min-degree" => Strategy::MinDegree,
+                "min-fill" => Strategy::MinFill,
+                other => return Err(format!("unknown strategy `{other}`")),
+            };
+        }
+        "--timeout" => {
+            let secs = flags
+                .value(name)?
+                .parse::<u64>()
+                .map_err(|_| "bad --timeout value".to_string())?;
+            options.timeout = Some(Duration::from_secs(secs));
+        }
+        "--threads" => {
+            options.threads = flags
+                .value(name)?
+                .parse::<usize>()
+                .map_err(|_| "bad --threads value".to_string())?;
+        }
+        "--store-reclaim" => {
+            options.store_reclaim = match flags.value(name)? {
+                "on" => StoreReclaimMode::On,
+                "off" => StoreReclaimMode::Off,
+                "auto" => StoreReclaimMode::Auto,
+                other => return Err(format!("unknown store-reclaim mode `{other}`")),
+            };
+        }
+        "--svd-threshold" => {
+            options.svd_threshold = flags
+                .value(name)?
+                .parse::<f64>()
+                .ok()
+                .filter(|t| t.is_finite() && *t >= 0.0)
+                .ok_or_else(|| "bad --svd-threshold value".to_string())?;
+        }
+        "--max-bond" => {
+            options.max_bond = flags
+                .value(name)?
+                .parse::<usize>()
+                .ok()
+                .filter(|&n| n >= 1)
+                .ok_or_else(|| "bad --max-bond value".to_string())?;
+        }
+        "--json" => options.json = flags.boolean(name)?,
+        "--optimize" => options.optimize = flags.boolean(name)?,
+        "--verbose" => options.verbose = flags.boolean(name)?,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
 
 /// Parses an argument vector (without the program name).
 ///
@@ -325,148 +436,25 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     _ => Err(format!("bad {flag} list `{text}`")),
                 }
             };
-            let rest: Vec<&String> = it.collect();
-            let mut k = 0;
-            while k < rest.len() {
-                // `--flag value` and `--flag=value` are both accepted.
-                let raw = rest[k].as_str();
-                let (flag, inline) = match raw.split_once('=') {
-                    Some((f, v)) => (f, Some(v)),
-                    None => (raw, None),
-                };
-                let value = |k: &mut usize| -> Result<&str, String> {
-                    if let Some(v) = inline {
-                        return Ok(v);
-                    }
-                    *k += 1;
-                    rest.get(*k)
-                        .map(|s| s.as_str())
-                        .ok_or_else(|| format!("missing value for {flag}"))
-                };
-                // Boolean flags must not silently swallow an inline
-                // value (`--seed-cache=false` would otherwise *enable*
-                // the flag).
-                let boolean = |inline: Option<&str>| -> Result<(), String> {
-                    match inline {
-                        None => Ok(()),
-                        Some(v) => Err(format!("{flag} takes no value (got `{v}`)")),
-                    }
-                };
+            let mut flags = Flags::new(it.as_slice());
+            while let Some(flag) = flags.next_flag() {
                 match flag {
                     "--epsilon" => {
                         epsilon = Some(
-                            value(&mut k)?
+                            flags
+                                .value(flag)?
                                 .parse::<f64>()
                                 .map_err(|_| "bad --epsilon value".to_string())?,
                         );
                     }
-                    "--algorithm" => {
-                        match value(&mut k)? {
-                            "auto" => options.algorithm = AlgorithmChoice::Auto,
-                            "1" | "I" | "i" => options.algorithm = AlgorithmChoice::AlgorithmI,
-                            "2" | "II" | "ii" => options.algorithm = AlgorithmChoice::AlgorithmII,
-                            "mpo" | "3" | "III" | "iii" => options.algorithm = AlgorithmChoice::Mpo,
-                            "mc" => options.mc_samples = Some(options.mc_samples.unwrap_or(2000)),
-                            other => return Err(format!("unknown algorithm `{other}`")),
-                        };
+                    "--noise" => noise = Some(parse_list("--noise", flags.value(flag)?)?),
+                    "--epsilons" => epsilons = Some(parse_list("--epsilons", flags.value(flag)?)?),
+                    name => {
+                        if !parse_checker_flag(&mut options, name, &mut flags)? {
+                            return Err(format!("unknown flag `{name}`"));
+                        }
                     }
-                    "--samples" => {
-                        options.mc_samples = Some(
-                            value(&mut k)?
-                                .parse::<usize>()
-                                .map_err(|_| "bad --samples value".to_string())?,
-                        );
-                    }
-                    "--seed" => {
-                        options.mc_seed = value(&mut k)?
-                            .parse::<u64>()
-                            .map_err(|_| "bad --seed value".to_string())?;
-                    }
-                    "--strategy" => {
-                        options.strategy = match value(&mut k)? {
-                            "sequential" => Strategy::Sequential,
-                            "greedy" => Strategy::GreedySize,
-                            "min-degree" => Strategy::MinDegree,
-                            "min-fill" => Strategy::MinFill,
-                            other => return Err(format!("unknown strategy `{other}`")),
-                        };
-                    }
-                    "--timeout" => {
-                        let secs = value(&mut k)?
-                            .parse::<u64>()
-                            .map_err(|_| "bad --timeout value".to_string())?;
-                        options.timeout = Some(Duration::from_secs(secs));
-                    }
-                    "--threads" => {
-                        options.threads = value(&mut k)?
-                            .parse::<usize>()
-                            .map_err(|_| "bad --threads value".to_string())?;
-                    }
-                    "--lanes" => {
-                        options.sweep_lanes = value(&mut k)?
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| "bad --lanes value".to_string())?;
-                    }
-                    "--shared-table" => {
-                        options.shared_table = match value(&mut k)? {
-                            "on" => SharedTableMode::On,
-                            "off" => SharedTableMode::Off,
-                            "auto" => SharedTableMode::Auto,
-                            other => return Err(format!("unknown shared-table mode `{other}`")),
-                        };
-                    }
-                    "--store-reclaim" => {
-                        options.store_reclaim = match value(&mut k)? {
-                            "on" => StoreReclaimMode::On,
-                            "off" => StoreReclaimMode::Off,
-                            "auto" => StoreReclaimMode::Auto,
-                            other => return Err(format!("unknown store-reclaim mode `{other}`")),
-                        };
-                    }
-                    "--seed-cache" => {
-                        options.seed_cache = match value(&mut k)? {
-                            "on" => true,
-                            "off" => false,
-                            other => return Err(format!("unknown seed-cache mode `{other}`")),
-                        };
-                    }
-                    "--svd-threshold" => {
-                        options.svd_threshold = value(&mut k)?
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|t| t.is_finite() && *t >= 0.0)
-                            .ok_or_else(|| "bad --svd-threshold value".to_string())?;
-                    }
-                    "--max-bond" => {
-                        options.max_bond = value(&mut k)?
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| "bad --max-bond value".to_string())?;
-                    }
-                    "--noise" => {
-                        noise = Some(parse_list("--noise", value(&mut k)?)?);
-                    }
-                    "--epsilons" => {
-                        epsilons = Some(parse_list("--epsilons", value(&mut k)?)?);
-                    }
-                    "--json" => {
-                        boolean(inline)?;
-                        options.json = true;
-                    }
-                    "--optimize" => {
-                        boolean(inline)?;
-                        options.optimize = true;
-                    }
-                    "--verbose" => {
-                        boolean(inline)?;
-                        options.verbose = true;
-                    }
-                    other => return Err(format!("unknown flag `{other}`")),
                 }
-                k += 1;
             }
             match sub {
                 "check" => {
@@ -946,76 +934,47 @@ mod tests {
     }
 
     #[test]
-    fn parse_shared_table_modes_in_both_flag_styles() {
-        for (args, expected) in [
-            (vec!["--shared-table", "on"], SharedTableMode::On),
-            (vec!["--shared-table=off"], SharedTableMode::Off),
-            (vec!["--shared-table=auto"], SharedTableMode::Auto),
+    fn retired_store_and_lane_flags_are_unknown_to_check_and_serve() {
+        // The store and lane width follow from the run itself, so the
+        // flags that used to choose them are unknown, in both flag
+        // styles, to the one-shot and the serving frontends alike.
+        for retired in [
+            vec!["--shared-table", "on"],
+            vec!["--shared-table=off"],
+            vec!["--lanes", "1"],
+            vec!["--lanes=8"],
+            vec!["--seed-cache", "off"],
+            vec!["--seed-cache=on"],
         ] {
-            let mut full = vec!["fidelity", "i.qasm", "n.qasm"];
-            full.extend(args);
-            match parse_args(&strings(&full)).unwrap() {
-                Command::Fidelity { options, .. } => {
-                    assert_eq!(options.shared_table, expected, "{full:?}")
-                }
-                other => panic!("wrong command {other:?}"),
-            }
+            let mut check = vec!["check", "i.qasm", "n.qasm", "--epsilon", "0.1"];
+            check.extend(&retired);
+            let error = parse_args(&strings(&check)).expect_err("check must reject");
+            assert!(
+                error.starts_with("unknown flag `--"),
+                "{retired:?}: {error}"
+            );
+            let mut serve = vec!["serve"];
+            serve.extend(&retired);
+            let error = parse_args(&strings(&serve)).expect_err("serve must reject");
+            assert!(
+                error.starts_with("serve: unknown flag `--"),
+                "{retired:?}: {error}"
+            );
         }
-        assert!(parse_args(&strings(&[
-            "fidelity",
-            "i.qasm",
-            "n.qasm",
-            "--shared-table",
-            "sometimes"
-        ]))
-        .is_err());
         // Boolean flags reject inline values instead of silently
         // enabling themselves.
-        for bad in ["--seed-cache=false", "--verbose=0", "--optimize=off"] {
+        for bad in ["--json=false", "--verbose=0", "--optimize=off"] {
             assert!(
                 parse_args(&strings(&["fidelity", "i.qasm", "n.qasm", bad])).is_err(),
                 "{bad} must be rejected"
             );
         }
-        match parse_args(&strings(&[
-            "check",
-            "i.qasm",
-            "n.qasm",
-            "--epsilon=0.25",
-            "--seed-cache=off",
-        ]))
-        .unwrap()
-        {
-            Command::Check {
-                epsilon, options, ..
-            } => {
+        match parse_args(&strings(&["check", "i.qasm", "n.qasm", "--epsilon=0.25"])).unwrap() {
+            Command::Check { epsilon, .. } => {
                 assert!((epsilon - 0.25).abs() < 1e-12, "inline --epsilon=v works");
-                assert!(!options.seed_cache, "--seed-cache=off is the escape hatch");
             }
             other => panic!("wrong command {other:?}"),
         }
-        // Seeding defaults on; both flag styles parse; garbage rejected.
-        assert!(CliOptions::default().seed_cache);
-        match parse_args(&strings(&[
-            "fidelity",
-            "i.qasm",
-            "n.qasm",
-            "--seed-cache",
-            "on",
-        ]))
-        .unwrap()
-        {
-            Command::Fidelity { options, .. } => assert!(options.seed_cache),
-            other => panic!("wrong command {other:?}"),
-        }
-        assert!(parse_args(&strings(&[
-            "fidelity",
-            "i.qasm",
-            "n.qasm",
-            "--seed-cache",
-            "maybe"
-        ]))
-        .is_err());
     }
 
     #[test]

@@ -21,19 +21,18 @@
 //! row constructors as `check --json` / `sweep --json`, so the fields
 //! mean exactly the same thing in one-shot and serving mode.
 //!
-//! The JSON reader below is deliberately minimal (objects, arrays,
-//! strings with escapes, numbers, booleans, null — no nested depth
-//! limit games, no comments): enough for the protocol, no serde
-//! dependency, mirroring the hand-rolled writer in `qaec_bench::json`.
+//! Requests are decoded and responses rendered by the hand-rolled
+//! reader and writer in [`crate::json`].
 
-use crate::{check_json, epsilon_point_json, load, noise_point_json, CliOptions};
+use crate::json::{self, parse_json, Json};
+use crate::{
+    check_json, epsilon_point_json, load, noise_point_json, parse_checker_flag, CliOptions, Flags,
+};
 use qaec::{
     AlgorithmChoice, Service, ServiceConfig, ServiceQuery, ServiceReply, ServiceRequest,
-    ServiceResponse, ServiceStats, SharedTableMode, StoreReclaimMode,
+    ServiceResponse, ServiceStats,
 };
-use qaec_bench::json;
 use qaec_circuit::qasm;
-use qaec_tensornet::Strategy;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -74,10 +73,16 @@ pub fn parse_byte_size(text: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("byte size `{text}` overflows"))
 }
 
-/// Parses the arguments after `qaec serve`. Accepts the shared checker
-/// options (minus `--timeout`, `--samples`/`--seed` and `--json`, which
-/// have no serving meaning) plus the serve-specific
-/// `--cache-bytes`/`--listen`/`--unix`.
+/// Checker flags with no serving meaning: rejected, not ignored.
+/// Responses are always JSON and carry their own statistics, serve has
+/// no Monte-Carlo backend, and a deadline fixed at start-up would
+/// expire for sessions compiled later.
+const ONE_SHOT_FLAGS: [&str; 5] = ["--timeout", "--samples", "--seed", "--json", "--verbose"];
+
+/// Parses the arguments after `qaec serve`: the checker flags `check`
+/// takes, through the same parser, minus `--timeout`, `--samples`,
+/// `--seed`, `--json`, `--verbose` and `--algorithm mc`, plus the
+/// serve-specific `--cache-bytes`/`--listen`/`--unix`.
 ///
 /// # Errors
 ///
@@ -89,336 +94,29 @@ pub fn parse_serve_args(rest: &[String]) -> Result<ServeArgs, String> {
         listen: None,
         unix: None,
     };
-    let mut k = 0;
-    while k < rest.len() {
-        let raw = rest[k].as_str();
-        let (flag, inline) = match raw.split_once('=') {
-            Some((f, v)) => (f, Some(v)),
-            None => (raw, None),
-        };
-        let value = |k: &mut usize| -> Result<&str, String> {
-            if let Some(v) = inline {
-                return Ok(v);
-            }
-            *k += 1;
-            rest.get(*k)
-                .map(|s| s.as_str())
-                .ok_or_else(|| format!("missing value for {flag}"))
-        };
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next_flag() {
         match flag {
-            "--cache-bytes" => args.cache_bytes = Some(parse_byte_size(value(&mut k)?)?),
-            "--listen" => args.listen = Some(value(&mut k)?.to_string()),
-            "--unix" => args.unix = Some(value(&mut k)?.to_string()),
-            "--algorithm" => {
-                args.options.algorithm = match value(&mut k)? {
-                    "auto" => AlgorithmChoice::Auto,
-                    "1" | "I" | "i" => AlgorithmChoice::AlgorithmI,
-                    "2" | "II" | "ii" => AlgorithmChoice::AlgorithmII,
-                    "mpo" | "3" | "III" | "iii" => AlgorithmChoice::Mpo,
-                    other => return Err(format!("serve: unknown algorithm `{other}`")),
-                };
+            "--cache-bytes" => args.cache_bytes = Some(parse_byte_size(flags.value(flag)?)?),
+            "--listen" => args.listen = Some(flags.value(flag)?.to_string()),
+            "--unix" => args.unix = Some(flags.value(flag)?.to_string()),
+            name if ONE_SHOT_FLAGS.contains(&name) => {
+                return Err(format!("serve: {name} has no serving meaning"))
             }
-            "--svd-threshold" => {
-                args.options.svd_threshold = value(&mut k)?
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|t| t.is_finite() && *t >= 0.0)
-                    .ok_or_else(|| "bad --svd-threshold value".to_string())?;
+            name => {
+                if !parse_checker_flag(&mut args.options, name, &mut flags)? {
+                    return Err(format!("serve: unknown flag `{name}`"));
+                }
             }
-            "--max-bond" => {
-                args.options.max_bond = value(&mut k)?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "bad --max-bond value".to_string())?;
-            }
-            "--strategy" => {
-                args.options.strategy = match value(&mut k)? {
-                    "sequential" => Strategy::Sequential,
-                    "greedy" => Strategy::GreedySize,
-                    "min-degree" => Strategy::MinDegree,
-                    "min-fill" => Strategy::MinFill,
-                    other => return Err(format!("serve: unknown strategy `{other}`")),
-                };
-            }
-            "--threads" => {
-                args.options.threads = value(&mut k)?
-                    .parse::<usize>()
-                    .map_err(|_| "bad --threads value".to_string())?;
-            }
-            "--lanes" => {
-                args.options.sweep_lanes = value(&mut k)?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "bad --lanes value".to_string())?;
-            }
-            "--shared-table" => {
-                args.options.shared_table = match value(&mut k)? {
-                    "on" => SharedTableMode::On,
-                    "off" => SharedTableMode::Off,
-                    "auto" => SharedTableMode::Auto,
-                    other => return Err(format!("serve: unknown shared-table mode `{other}`")),
-                };
-            }
-            "--store-reclaim" => {
-                args.options.store_reclaim = match value(&mut k)? {
-                    "on" => StoreReclaimMode::On,
-                    "off" => StoreReclaimMode::Off,
-                    "auto" => StoreReclaimMode::Auto,
-                    other => return Err(format!("serve: unknown store-reclaim mode `{other}`")),
-                };
-            }
-            "--seed-cache" => {
-                args.options.seed_cache = match value(&mut k)? {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("serve: unknown seed-cache mode `{other}`")),
-                };
-            }
-            "--optimize" => match inline {
-                None => args.options.optimize = true,
-                Some(v) => return Err(format!("--optimize takes no value (got `{v}`)")),
-            },
-            other => return Err(format!("serve: unknown flag `{other}`")),
         }
-        k += 1;
+    }
+    if args.options.mc_samples.is_some() {
+        return Err("serve: --algorithm mc has no serving meaning".to_string());
     }
     if args.listen.is_some() && args.unix.is_some() {
         return Err("serve: --listen and --unix are exclusive".to_string());
     }
     Ok(args)
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader.
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value — just enough structure for the request shapes.
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks a key up in an object (first occurrence).
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(text: &'a str) -> Reader<'a> {
-        Reader {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(b) if b == byte => {
-                self.pos += 1;
-                Ok(())
-            }
-            other => Err(format!(
-                "expected `{}` at byte {}, found {:?}",
-                byte as char,
-                self.pos,
-                other.map(|b| b as char)
-            )),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|b| b as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "expected `,` or `}}` in object, found {:?} at byte {}",
-                        other.map(|b| b as char),
-                        self.pos
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected `,` or `]` in array, found {:?} at byte {}",
-                        other.map(|b| b as char),
-                        self.pos
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let escape = self
-                        .bytes
-                        .get(self.pos)
-                        .copied()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| "bad \\u escape".to_string())?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "bad \\u code point".to_string())?,
-                            );
-                        }
-                        other => return Err(format!("bad escape `\\{}`", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Copy a full UTF-8 scalar, not a byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-}
-
-/// Parses one complete JSON value with nothing but whitespace after it.
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut reader = Reader::new(text);
-    let value = reader.value()?;
-    reader.skip_ws();
-    if reader.pos != reader.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", reader.pos));
-    }
-    Ok(value)
 }
 
 // ---------------------------------------------------------------------
@@ -888,7 +586,7 @@ mod tests {
     fn json_reader_round_trips_request_shapes() {
         let value = parse_json(
             r#"{"v": 1, "id": 7, "op": "check", "epsilon": 0.05, "noise": [0.999, 0.99],
-                "note": "a\tbA\n", "flag": true, "none": null}"#,
+                "note": "a\tbA\nψ→ε", "flag": true, "none": null}"#,
         )
         .expect("parse");
         assert_eq!(value.get("v"), Some(&Json::Num(1.0)));
@@ -897,7 +595,7 @@ mod tests {
             value.get("noise"),
             Some(&Json::Arr(vec![Json::Num(0.999), Json::Num(0.99)]))
         );
-        assert_eq!(value.get("note"), Some(&Json::Str("a\tbA\n".into())));
+        assert_eq!(value.get("note"), Some(&Json::Str("a\tbA\nψ→ε".into())));
         assert_eq!(value.get("flag"), Some(&Json::Bool(true)));
         assert_eq!(value.get("none"), Some(&Json::Null));
         assert_eq!(parse_json("[]").expect("empty array"), Json::Arr(vec![]));
@@ -938,13 +636,13 @@ mod tests {
             "--threads=4".into(),
             "--algorithm".into(),
             "2".into(),
-            "--shared-table=on".into(),
+            "--store-reclaim=on".into(),
         ])
         .expect("parse");
         assert_eq!(args.cache_bytes, Some(64 << 20));
         assert_eq!(args.options.threads, 4);
         assert_eq!(args.options.algorithm, AlgorithmChoice::AlgorithmII);
-        assert_eq!(args.options.shared_table, SharedTableMode::On);
+        assert_eq!(args.options.store_reclaim, qaec::StoreReclaimMode::On);
         assert_eq!(args.listen, None);
 
         // Algorithm III and its knobs parse like the one-shot frontend.
@@ -960,12 +658,21 @@ mod tests {
         assert_eq!(mpo.options.max_bond, 32);
 
         // Flags that have no serving meaning are rejected, not ignored.
-        for bad in ["--timeout", "--json", "--samples", "--epsilon"] {
+        for bad in [
+            "--timeout",
+            "--json",
+            "--samples",
+            "--seed",
+            "--verbose",
+            "--epsilon",
+            "--noise",
+        ] {
             assert!(
                 parse_serve_args(&[bad.to_string(), "1".to_string()]).is_err(),
                 "{bad} must be rejected"
             );
         }
+        assert!(parse_serve_args(&["--algorithm=mc".into()]).is_err());
         assert!(parse_serve_args(&[
             "--listen".into(),
             "127.0.0.1:0".into(),

@@ -14,13 +14,12 @@
 //! * independent terms parallelize across threads (`threads > 1`) through
 //!   the work-stealing [`crate::engine`], which composes with `epsilon`,
 //!   `term_order`, `max_terms` and `deadline`;
-//! * parallel workers share one concurrent decision-diagram store by
-//!   default (`options.shared_table`), hash-consing sub-diagrams across
-//!   threads — so parallel runs keep Table II's "Opt." structure sharing
-//!   *and* every shared-store run returns bit-identical bounds/verdicts
-//!   whatever the thread count (force the store on at `threads == 1`
-//!   for a bit-comparable sequential reference; the `Auto` default
-//!   keeps the private fast path there).
+//! * parallel workers share one concurrent decision-diagram store,
+//!   hash-consing sub-diagrams across threads — so parallel runs keep
+//!   Table II's "Opt." structure sharing *and* return bit-identical
+//!   bounds/verdicts whatever the thread count; a one-worker run keeps
+//!   the private fast path, whose values agree with the shared store's
+//!   to the interning tolerance.
 
 use crate::engine::TermEngine;
 use crate::error::QaecError;
@@ -199,8 +198,8 @@ impl Alg1Artifacts {
         })
     }
 
-    /// Worker count a run over `total_terms` terms would use (bounds the
-    /// shared-store resolution the session makes at compile time).
+    /// Worker count a run over `total_terms` terms would use (the
+    /// session allocates a shared store when this exceeds one).
     pub(crate) fn workers(&self, options: &CheckOptions) -> usize {
         options
             .threads

@@ -13,21 +13,19 @@
 //! [`SharedTddStore`] ([`qaec_tdd::par_driver`]). Because the shared
 //! store's canonical interning makes every step's result a pure function
 //! of its operands, the fidelity and `max_nodes` are **bit-identical for
-//! every thread count** — which is why Algorithm II resolves
-//! [`SharedTableMode::Auto`] to the shared store even at one worker
-//! (`--threads` stays a pure performance knob). `SharedTableMode::Off`
-//! keeps the original private sequential driver, including its
-//! mark-compact GC (append-only shared arenas cannot compact).
+//! every thread count** — which is why Algorithm II contracts on the
+//! shared store even at one worker (`--threads` stays a pure
+//! performance knob).
 
 use crate::error::QaecError;
 use crate::miter::{build_trace_network, identity_map, Alg2Template, BuiltNetwork};
 use crate::optimize::{cancel_inverse_pairs, eliminate_swaps};
-use crate::options::{CheckOptions, SharedTableMode};
+use crate::options::CheckOptions;
 use crate::validate;
 use qaec_circuit::{Circuit, NoiseChannel};
 use qaec_tdd::{
-    contract_network_lanes, contract_network_opts, contract_network_parallel, DriverOptions,
-    LaneError, ParallelOptions, SharedTddStore, TddManager, TddStats,
+    contract_network_lanes, contract_network_parallel, LaneError, ParallelOptions, SharedTddStore,
+    TddManager, TddStats,
 };
 use qaec_tensornet::plan::PlanCost;
 use qaec_tensornet::ContractionPlan;
@@ -262,56 +260,31 @@ impl Alg2Artifacts {
         warm_store: Option<&Arc<SharedTddStore>>,
     ) -> Result<Alg2Report, QaecError> {
         let start = Instant::now();
-        // `Auto` resolves ON at every thread count here (unlike
-        // Algorithm I, whose terms are value-independent): the plan
-        // scheduler needs the shared substrate, and contracting over the
-        // canonical store at one worker too keeps `--threads` a pure
-        // performance knob — the fidelity and `max_nodes` are
-        // bit-identical whatever the count.
-        let (max_nodes, trace, stats) = if options.shared_table != SharedTableMode::Off {
-            let workers = options.threads.max(1);
-            let store = match warm_store {
-                Some(store) => Arc::clone(store),
-                None => SharedTddStore::new(),
-            };
-            // Statistics fence: a warm (session-reused) store reports
-            // only this contraction's allocation delta.
-            let epoch = store.reset_between_runs();
-            let outcome = contract_network_parallel(
-                &store,
-                &built.network,
-                &self.plan,
-                &built.order,
-                ParallelOptions {
-                    workers,
-                    deadline: options.deadline,
-                },
-            )
-            .map_err(|_| QaecError::Timeout)?;
-            let reader = TddManager::new_shared(&store);
-            let trace = reader
-                .edge_scalar(outcome.result.root)
-                .expect("closed network");
-            let mut stats = outcome.stats;
-            // Allocation counters are store-owned: merged exactly once.
-            stats.merge(&store.stats_since(epoch));
-            (outcome.result.max_nodes, trace, stats)
-        } else {
-            let mut manager = TddManager::new();
-            let result = contract_network_opts(
-                &mut manager,
-                &built.network,
-                &self.plan,
-                &built.order,
-                DriverOptions {
-                    gc_threshold: options.gc_threshold,
-                    deadline: options.deadline,
-                },
-            )
-            .map_err(|_| QaecError::Timeout)?;
-            let trace = manager.edge_scalar(result.root).expect("closed network");
-            (result.max_nodes, trace, manager.stats())
+        let store = match warm_store {
+            Some(store) => Arc::clone(store),
+            None => SharedTddStore::new(),
         };
+        // Statistics fence: a warm (session-reused) store reports only
+        // this contraction's allocation delta.
+        let epoch = store.reset_between_runs();
+        let outcome = contract_network_parallel(
+            &store,
+            &built.network,
+            &self.plan,
+            &built.order,
+            ParallelOptions {
+                workers: options.threads.max(1),
+                deadline: options.deadline,
+            },
+        )
+        .map_err(|_| QaecError::Timeout)?;
+        let reader = TddManager::new_shared(&store);
+        let trace = reader
+            .edge_scalar(outcome.result.root)
+            .expect("closed network");
+        let mut stats = outcome.stats;
+        // Allocation counters are store-owned: merged exactly once.
+        stats.merge(&store.stats_since(epoch));
 
         // Σ|tr(U†Eᵢ)|² is real and non-negative; the imaginary part is
         // round-off.
@@ -321,7 +294,7 @@ impl Alg2Artifacts {
 
         Ok(Alg2Report {
             fidelity,
-            max_nodes,
+            max_nodes: outcome.result.max_nodes,
             elapsed: start.elapsed(),
             plan_cost: self.plan_cost,
             stats,

@@ -58,18 +58,13 @@ pub struct McReport {
 /// The sample stream is drawn up front (deterministic in `seed` alone,
 /// whatever `options.threads` is), the distinct strings are contracted
 /// on the shared work-stealing [`crate::engine`], and the estimator is
-/// then replayed over the sample sequence in draw order. With the
-/// shared TDD store (`options.shared_table`, on by default for
-/// `threads > 1`) every string's trace is a pure function of the string
-/// — the store's canonical weight interning is scheduling-independent —
-/// so the estimate is **bit-reproducible in `(seed, threads)`** and in
-/// fact bit-identical across every *shared-store* run (under the `Auto`
-/// default, `threads == 1` uses the private store instead; force
-/// [`crate::options::SharedTableMode::On`] for a bit-comparable
-/// sequential reference). With [`crate::options::SharedTableMode::Off`]
-/// each private manager snaps weights along its own interning history
-/// (tolerance ≈1e-10) and multi-worker estimates are reproducible only
-/// to that tolerance.
+/// then replayed over the sample sequence in draw order. With more than
+/// one worker the strings contract on one shared TDD store, where every
+/// string's trace is a pure function of the string — the store's
+/// canonical weight interning is scheduling-independent — so the
+/// estimate is **bit-identical for every `threads ≥ 2`**. A one-worker
+/// run uses the private store, which agrees to the interning tolerance
+/// (≈1e-10) and is itself bit-reproducible in `seed`.
 /// Shares the miter machinery (and therefore the §IV-C optimisations
 /// and contraction options) with Algorithm I.
 ///

@@ -13,17 +13,16 @@
 //! * slow terms don't stall the run: a worker that finishes its batch
 //!   steals the next one from the shared enumerator, so load balances
 //!   even when term costs vary by orders of magnitude;
-//! * with the **shared TDD store** (`options.shared_table`, on by
-//!   default for `threads > 1`) all workers hash-cons nodes and intern
-//!   weights into one [`SharedTddStore`], recovering cross-thread
-//!   structure sharing; each worker keeps only its computed tables
-//!   thread-local. With `SharedTableMode::Off` every worker keeps a
-//!   fully private [`TddManager`] instead (the pre-shared behaviour).
+//! * with more than one worker, all workers hash-cons nodes and intern
+//!   weights into one **shared TDD store** ([`SharedTddStore`]),
+//!   recovering cross-thread structure sharing; each worker keeps only
+//!   its computed tables thread-local. A one-worker run keeps the faster
+//!   fully private [`TddManager`].
 //!
 //! ## Bit-identical parallel results
 //!
-//! Two mechanisms make a shared-store run reproduce the sequential
-//! result *bit for bit*, whatever the thread count or scheduling:
+//! Two mechanisms make every parallel run reproduce the same result
+//! *bit for bit*, whatever the thread count or scheduling:
 //!
 //! 1. The store's canonical weight interning makes every term's value a
 //!    pure function of the term alone (see [`qaec_tdd::store`]).
@@ -35,14 +34,14 @@
 //!    completed beyond the frontier when a decision lands are simply
 //!    discarded from the report (work wasted, semantics unchanged).
 //!
-//! With private per-worker stores the reducer still guarantees
-//! sequential *decision semantics*, but values drift by the interning
-//! tolerance (≈1e-10) because each manager snaps weights along its own
+//! The one-worker private run follows the same decision semantics; its
+//! values agree with the shared store's to the interning tolerance
+//! (≈1e-10), because the private manager snaps weights along its own
 //! history.
 
 use crate::error::QaecError;
 use crate::miter::{build_trace_network, Alg1Template, BuiltNetwork};
-use crate::options::{CheckOptions, TermOrder};
+use crate::options::{CheckOptions, TermOrder, GC_THRESHOLD};
 use crate::report::Verdict;
 use qaec_tdd::fxhash::FxHashMap;
 use qaec_tdd::{
@@ -56,6 +55,13 @@ use std::sync::Arc;
 use qaec_tdd::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use qaec_tdd::sync::Mutex;
 use std::time::Instant;
+
+/// The store rule for Algorithm I and Monte-Carlo runs: more than one
+/// worker contracts on one shared store; a single worker keeps the
+/// faster private manager.
+pub(crate) fn shares_store(workers: usize) -> bool {
+    workers > 1
+}
 
 /// Everything the workers need to instantiate and contract one term.
 pub(crate) struct TermEngine<'a> {
@@ -73,7 +79,7 @@ pub(crate) struct TermEngine<'a> {
     pub d2: f64,
     /// A warm shared store to reuse instead of allocating a fresh one
     /// (compile-once sessions sweeping many queries over one store).
-    /// Only consulted when `options.shared_table` resolves on; per-run
+    /// Only consulted when more than one worker runs; per-run
     /// statistics are epoch-fenced so each run reports its own delta.
     pub warm_store: Option<&'a Arc<SharedTddStore>>,
 }
@@ -228,7 +234,7 @@ impl Reducer {
 }
 
 /// The heaviest completed term's contraction-cache snapshot, shipped to
-/// workers that pull a new batch (`options.seed_cont_cache`).
+/// workers that pull a new batch on shared-store runs.
 struct SeedSlot {
     /// Mass of the term whose cache is stored (`-∞` until first publish).
     mass: f64,
@@ -240,7 +246,8 @@ struct SharedState {
     queue: Mutex<TermQueue>,
     reducer: Mutex<Reducer>,
     stop: AtomicBool,
-    /// `Some` only for shared-store runs with cache seeding enabled.
+    /// `Some` only for shared-store runs (cache entries hold store
+    /// handles, which are not portable between private managers).
     seed: Option<Mutex<SeedSlot>>,
 }
 
@@ -291,7 +298,7 @@ impl<'a> WorkerCtx<'a> {
             self.engine.plan,
             self.engine.order,
             DriverOptions {
-                gc_threshold: self.engine.options.gc_threshold,
+                gc_threshold: Some(GC_THRESHOLD),
                 deadline: self.engine.options.deadline,
             },
         )
@@ -345,18 +352,15 @@ impl TermEngine<'_> {
         self.options.threads.max(1).min(jobs.max(1))
     }
 
-    /// The run's shared store, when `options.shared_table` resolves on
-    /// for this worker count: the session's warm store when one was
-    /// supplied (value-transparent — canonical interning makes reuse
-    /// bit-identical to a fresh store), else a fresh one.
+    /// The run's shared store, when more than one worker runs: the
+    /// session's warm store when one was supplied (value-transparent —
+    /// canonical interning makes reuse bit-identical to a fresh store),
+    /// else a fresh one.
     fn shared_store(&self, workers: usize) -> Option<Arc<SharedTddStore>> {
-        self.options
-            .shared_table
-            .enabled_for(workers)
-            .then(|| match self.warm_store {
-                Some(store) => Arc::clone(store),
-                None => SharedTddStore::new(),
-            })
+        shares_store(workers).then(|| match self.warm_store {
+            Some(store) => Arc::clone(store),
+            None => SharedTddStore::new(),
+        })
     }
 
     /// Runs the full ε-aware accumulation over every Kraus selection of
@@ -364,7 +368,7 @@ impl TermEngine<'_> {
     /// `options.deadline` and `options.threads` all respected).
     ///
     /// Bounds, verdicts and term counts always follow sequential-prefix
-    /// semantics (see the module docs); with the shared store they are
+    /// semantics (see the module docs); on the shared store they are
     /// additionally bit-identical across thread counts.
     pub(crate) fn run(
         &self,
@@ -392,7 +396,7 @@ impl TermEngine<'_> {
             }),
             reducer: Mutex::new(Reducer::new(epsilon)),
             stop: AtomicBool::new(false),
-            seed: (self.options.seed_cont_cache && store.is_some()).then(|| {
+            seed: store.is_some().then(|| {
                 Mutex::new(SeedSlot {
                     mass: f64::NEG_INFINITY,
                     entries: Arc::new(FxHashMap::default()),
@@ -784,6 +788,9 @@ impl TermEnumerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::miter::identity_map;
+    use qaec_circuit::generators::{qft, QftStyle};
+    use qaec_circuit::noise_insertion::insert_random_noise;
     use qaec_circuit::{Circuit, NoiseChannel};
     use std::collections::HashSet;
 
@@ -883,6 +890,54 @@ mod tests {
         assert_eq!(out[0].0, 2);
         queue.pull(2, &mut out);
         assert!(out.is_empty());
+    }
+
+    /// With table reuse off a fresh manager is created per term; all of
+    /// one worker's managers must share one store identity, so hits on
+    /// nodes that the same worker built during *earlier terms* are not
+    /// counted as cross-thread sharing. One worker ⇒ zero cross-thread
+    /// hits, exactly.
+    #[test]
+    fn fresh_per_term_managers_keep_one_worker_identity() {
+        let ideal = qft(3, QftStyle::DecomposedNoSwaps);
+        let noisy = insert_random_noise(&ideal, &NoiseChannel::Depolarizing { p: 0.999 }, 2, 9);
+        let template = Alg1Template::build(&ideal, &noisy);
+        let final_map = identity_map(template.n_wires);
+        let options = CheckOptions {
+            reuse_tables: false,
+            ..CheckOptions::default()
+        };
+        let first = build_trace_network(
+            &template.instantiate(&vec![0; template.sites.len()]),
+            template.n_wires,
+            &final_map,
+            options.var_order,
+        );
+        let plan = first.network.plan(options.strategy);
+        let engine = TermEngine {
+            template: &template,
+            final_map: &final_map,
+            plan: &plan,
+            order: &first.order,
+            options: &options,
+            d2: 64.0,
+            warm_store: None,
+        };
+        let store = SharedTddStore::new();
+        let mut ctx = WorkerCtx::new(&engine, Some(Arc::clone(&store)));
+        let mut terms = TermEnumerator::new(&template, TermOrder::Lexicographic);
+        while let Some((choice, _)) = terms.next_term() {
+            ctx.contract(&choice).expect("term");
+        }
+        let stats = store.stats();
+        assert!(
+            stats.unique_hits > 0,
+            "16 structurally-identical terms must hit the unique table"
+        );
+        assert_eq!(
+            stats.cross_unique_hits, 0,
+            "a single worker can never hit across threads"
+        );
     }
 
     #[test]

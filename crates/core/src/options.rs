@@ -36,45 +36,6 @@ pub enum VarOrderStyle {
     TimeMajor,
 }
 
-/// Whether Algorithm I / Monte-Carlo workers share one concurrent TDD
-/// store (lock-striped unique table + sharded canonical weight
-/// interning) or each keep a fully private manager.
-///
-/// With the shared store, common sub-diagrams are hash-consed *across*
-/// worker threads — recovering Table II's "Opt." sharing in parallel
-/// runs — and results are **bit-identical** whatever the thread count,
-/// because the store's canonical interning makes every weight a pure
-/// function of its value. The private backend remains the unchanged
-/// sequential fast path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SharedTableMode {
-    /// Share exactly when more than one worker runs (the default): the
-    /// single-threaded path keeps its lock-free private store.
-    /// Algorithm II is the exception — its plan scheduler contracts
-    /// over the canonical shared store at *every* thread count under
-    /// `Auto`, so `threads` is a pure performance knob there (see
-    /// [`crate::fidelity_alg2`]).
-    #[default]
-    Auto,
-    /// Always share, even with one worker — useful to get shared-store
-    /// numerics (and bit-comparability with parallel runs) sequentially.
-    On,
-    /// Never share: every worker keeps a private manager (the pre-shared
-    /// behaviour; cross-thread results agree only to ≈1e-9).
-    Off,
-}
-
-impl SharedTableMode {
-    /// Resolves the mode for an actual worker count.
-    pub fn enabled_for(self, workers: usize) -> bool {
-        match self {
-            SharedTableMode::Auto => workers > 1,
-            SharedTableMode::On => true,
-            SharedTableMode::Off => false,
-        }
-    }
-}
-
 /// When a session retires its shared store for a compact successor
 /// (epoch-based reclamation, [`qaec_tdd::SharedTddStore::successor`]).
 ///
@@ -111,6 +72,10 @@ pub enum StoreReclaimMode {
 /// The `Auto` reclamation trigger: retire the store once its payload
 /// arenas pass this many bytes.
 pub(crate) const RECLAIM_AUTO_THRESHOLD_BYTES: usize = 16 << 20;
+
+/// Arena size at which a private decision-diagram manager runs
+/// mark-compact garbage collection between contraction steps.
+pub(crate) const GC_THRESHOLD: usize = 2_000_000;
 
 impl StoreReclaimMode {
     /// Whether a store whose payload measures `approx_bytes` should be
@@ -175,8 +140,6 @@ pub struct CheckOptions {
     pub term_order: TermOrder,
     /// Abort with [`crate::QaecError::Timeout`] past this instant.
     pub deadline: Option<Instant>,
-    /// Arena size that triggers decision-diagram garbage collection.
-    pub gc_threshold: Option<usize>,
     /// Worker threads. Algorithm I and the Monte-Carlo estimator steal
     /// independent trace terms (the paper notes they parallelize
     /// trivially), composing with `epsilon`, `term_order`, `max_terms`
@@ -187,35 +150,18 @@ pub struct CheckOptions {
     /// disconnected network components concurrently on this many
     /// workers — the emitted plan is worker-count independent, so this
     /// stays a pure performance knob end to end.
+    ///
+    /// The worker count also picks the decision-diagram store. Algorithm
+    /// I and the Monte-Carlo estimator share one concurrent
+    /// [`qaec_tdd::SharedTddStore`] when more than one worker runs
+    /// (hash-consing sub-diagrams across threads, with bit-identical
+    /// results at every count ≥ 2) and keep the faster private manager
+    /// at one worker. Algorithm II always contracts on the shared store,
+    /// so its results are bit-identical at every count, one included.
     pub threads: usize,
     /// Cap on Algorithm I terms (None = all); bounds stay correct, they
     /// just stop tightening.
     pub max_terms: Option<usize>,
-    /// Whether parallel workers share one concurrent TDD store
-    /// (default: [`SharedTableMode::Auto`] — on whenever `threads > 1` —
-    /// overridable via the `QAEC_SHARED_TABLE` environment variable).
-    pub shared_table: SharedTableMode,
-    /// Seed each worker's contraction computed table from the heaviest
-    /// completed term's cache before every new batch (shared-store runs
-    /// only — cache entries hold store handles that are not portable
-    /// between private managers, so the flag is a no-op elsewhere). On
-    /// by default since profiling on the bench smoke preset showed it
-    /// value-transparent and mildly faster on term-heavy parallel runs;
-    /// `--seed-cache off` is the escape hatch.
-    /// [`qaec_tdd::TddStats::seed_imports`] / `seed_hits` report the
-    /// traffic and its payoff.
-    pub seed_cont_cache: bool,
-    /// Maximum lane width for vectorised noise sweeps
-    /// ([`crate::CompiledCheck::sweep_noise`]): Algorithm II sweep points
-    /// are batched into groups of up to this many and contracted in a
-    /// single multi-lane traversal ([`qaec_tdd::lanes`]), ⌈N/LANES⌉
-    /// passes instead of N. Clamped to the monomorphised widths
-    /// {1, 2, 4, 8}; `1` forces the scalar per-point reference path.
-    /// Results are bit-identical either way — lanes that cannot stay
-    /// bit-identical fall back to the scalar path automatically.
-    /// Default: 8, overridable via the `QAEC_SWEEP_LANES` environment
-    /// variable.
-    pub sweep_lanes: usize,
     /// When the session retires its shared store for a compact
     /// successor (default: [`StoreReclaimMode::Auto`] — once the store
     /// passes ~16 MiB of payload — overridable via the
@@ -249,63 +195,20 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// The default shared-store mode: the `QAEC_SHARED_TABLE` environment
-/// variable when set (`on`/`1`/`true` force sharing, `off`/`0`/`false`
-/// force private managers), else [`SharedTableMode::Auto`].
-///
-/// This is what [`CheckOptions::default`] uses, so CI can run the whole
-/// suite with either backend forced — the `shared-table-sanity` matrix
-/// does exactly that on 4 workers.
-pub fn default_shared_table() -> SharedTableMode {
-    match std::env::var("QAEC_SHARED_TABLE").as_deref() {
-        Ok("on") | Ok("1") | Ok("true") => SharedTableMode::On,
-        Ok("off") | Ok("0") | Ok("false") => SharedTableMode::Off,
-        _ => SharedTableMode::Auto,
-    }
-}
-
-/// The default noise-sweep lane width: the `QAEC_SWEEP_LANES`
-/// environment variable when set to a positive integer (rounded down to
-/// the nearest monomorphised width in {1, 2, 4, 8}), else 8.
-///
-/// This is what [`CheckOptions::default`] uses, so exporting
-/// `QAEC_SWEEP_LANES=1` forces every default-configured sweep through
-/// the scalar per-point reference path — CI's `sweep-lane-parity` job
-/// uses exactly that to prove the lane path bit-identical.
-pub fn default_sweep_lanes() -> usize {
-    std::env::var("QAEC_SWEEP_LANES")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .map(clamp_lane_width)
-        .unwrap_or(8)
-}
-
 /// The default store-reclamation mode: the `QAEC_STORE_RECLAIM`
 /// environment variable when set (`on`/`1`/`true` reclaim at every
 /// quiescent boundary, `off`/`0`/`false` never reclaim, `auto` the
 /// size-triggered default), else [`StoreReclaimMode::Auto`].
 ///
 /// This is what [`CheckOptions::default`] uses, so CI can force either
-/// extreme for the whole suite — the `shared-table-sanity` matrix runs
-/// a `QAEC_STORE_RECLAIM=on`/`off` leg to prove reclamation
+/// extreme for the whole suite — the `store-reclaim-sanity` pair runs
+/// `QAEC_STORE_RECLAIM=on` and `off` to prove reclamation
 /// bit-transparent end to end.
 pub fn default_store_reclaim() -> StoreReclaimMode {
     match std::env::var("QAEC_STORE_RECLAIM").as_deref() {
         Ok("on") | Ok("1") | Ok("true") => StoreReclaimMode::On,
         Ok("off") | Ok("0") | Ok("false") => StoreReclaimMode::Off,
         _ => StoreReclaimMode::Auto,
-    }
-}
-
-/// Rounds a requested lane width down to the nearest monomorphised
-/// width: {1, 2, 4, 8}.
-pub(crate) fn clamp_lane_width(n: usize) -> usize {
-    match n {
-        0..=1 => 1,
-        2..=3 => 2,
-        4..=7 => 4,
-        _ => 8,
     }
 }
 
@@ -320,12 +223,8 @@ impl Default for CheckOptions {
             swap_elimination: false,
             term_order: TermOrder::BestFirst,
             deadline: None,
-            gc_threshold: Some(2_000_000),
             threads: default_threads(),
             max_terms: None,
-            shared_table: default_shared_table(),
-            seed_cont_cache: true,
-            sweep_lanes: default_sweep_lanes(),
             store_reclaim: default_store_reclaim(),
             svd_threshold: 1e-8,
             max_bond: 16,
@@ -357,26 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_table_resolution() {
-        assert!(!SharedTableMode::Auto.enabled_for(1));
-        assert!(SharedTableMode::Auto.enabled_for(2));
-        assert!(SharedTableMode::On.enabled_for(1));
-        assert!(SharedTableMode::On.enabled_for(8));
-        assert!(!SharedTableMode::Off.enabled_for(8));
-        // Unless the env override is active, the default is Auto; with
-        // it, CI forces one backend for the whole suite.
-        let expected = match std::env::var("QAEC_SHARED_TABLE").as_deref() {
-            Ok("on") | Ok("1") | Ok("true") => SharedTableMode::On,
-            Ok("off") | Ok("0") | Ok("false") => SharedTableMode::Off,
-            _ => SharedTableMode::Auto,
-        };
-        assert_eq!(CheckOptions::default().shared_table, expected);
-        // Cache seeding defaults on (shared-store runs only; a no-op —
-        // and value-transparent — everywhere else).
-        assert!(CheckOptions::default().seed_cont_cache);
-    }
-
-    #[test]
     fn store_reclaim_resolution() {
         assert!(StoreReclaimMode::On.should_reclaim(0));
         assert!(!StoreReclaimMode::Off.should_reclaim(usize::MAX));
@@ -390,26 +269,5 @@ mod tests {
             _ => StoreReclaimMode::Auto,
         };
         assert_eq!(CheckOptions::default().store_reclaim, expected);
-    }
-
-    #[test]
-    fn lane_widths_clamp_to_monomorphised_set() {
-        assert_eq!(clamp_lane_width(0), 1);
-        assert_eq!(clamp_lane_width(1), 1);
-        assert_eq!(clamp_lane_width(2), 2);
-        assert_eq!(clamp_lane_width(3), 2);
-        assert_eq!(clamp_lane_width(4), 4);
-        assert_eq!(clamp_lane_width(7), 4);
-        assert_eq!(clamp_lane_width(8), 8);
-        assert_eq!(clamp_lane_width(64), 8);
-        // Unless the env override is active, the default is the widest
-        // lane; the CI parity job forces 1 to pin the scalar path.
-        let expected = std::env::var("QAEC_SWEEP_LANES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .map(clamp_lane_width)
-            .unwrap_or(8);
-        assert_eq!(CheckOptions::default().sweep_lanes, expected);
     }
 }

@@ -97,7 +97,7 @@ use qaec_tdd::sync::Mutex;
 #[derive(Clone, Debug, Default)]
 pub struct ServiceConfig {
     /// Checker options every session is compiled with (algorithm,
-    /// strategy, threads, store mode, …). `threads` doubles as the
+    /// strategy, threads, store reclamation, …). `threads` doubles as the
     /// worker count [`Service::handle_batch`] spreads distinct pairs
     /// over.
     pub options: CheckOptions,

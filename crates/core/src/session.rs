@@ -78,8 +78,9 @@
 use crate::alg1::Alg1Artifacts;
 use crate::alg2::Alg2Artifacts;
 use crate::checker::{auto_choice, mpo_favored};
+use crate::engine::shares_store;
 use crate::error::QaecError;
-use crate::options::{clamp_lane_width, AlgorithmChoice, CheckOptions};
+use crate::options::{AlgorithmChoice, CheckOptions};
 use crate::report::{AlgorithmUsed, EquivalenceReport, Verdict};
 use crate::{validate, validate_epsilon};
 use qaec_circuit::{Circuit, NoiseChannel};
@@ -163,7 +164,7 @@ impl Checker {
     }
 
     /// Sets the checker options (algorithm, strategy, threads, store
-    /// mode, …). Defaults to [`CheckOptions::default`].
+    /// reclamation, …). Defaults to [`CheckOptions::default`].
     pub fn options(mut self, options: CheckOptions) -> Checker {
         self.options = options;
         self
@@ -375,8 +376,8 @@ pub struct CompiledCheck {
     options: CheckOptions,
     algorithm: AlgorithmUsed,
     backend: Backend,
-    /// The session's warm shared store, when the configured store mode
-    /// resolves on for this algorithm and worker count. Reused across
+    /// The session's warm shared store: always for Algorithm II, and for
+    /// Algorithm I when more than one worker runs. Reused across
     /// every query and sweep point: later queries hash-cons against
     /// everything earlier ones interned (value-transparent — interning
     /// keeps results bit-identical to fresh-store runs). Held through a
@@ -408,17 +409,13 @@ impl CompiledCheck {
         let (backend, store) = match algorithm {
             AlgorithmUsed::AlgorithmI => {
                 let artifacts = Alg1Artifacts::compile(ideal, noisy, &options);
-                let workers = artifacts.workers(&options);
-                let store = options
-                    .shared_table
-                    .enabled_for(workers)
+                let store = shares_store(artifacts.workers(&options))
                     .then(|| StoreCell::new(SharedTddStore::new()));
                 (Backend::Alg1(artifacts), store)
             }
             AlgorithmUsed::AlgorithmII => {
                 let artifacts = Alg2Artifacts::compile(ideal, noisy, &options);
-                let store = (options.shared_table != crate::SharedTableMode::Off)
-                    .then(|| StoreCell::new(SharedTddStore::new()));
+                let store = Some(StoreCell::new(SharedTddStore::new()));
                 (Backend::Alg2(artifacts), store)
             }
             AlgorithmUsed::Mpo => {
@@ -461,9 +458,9 @@ impl CompiledCheck {
         &self.options
     }
 
-    /// The session's current warm shared store, when the configured
-    /// store mode resolved on at compile time — `None` for
-    /// private-store sessions. An owned handle: reclamation may swap
+    /// The session's current warm shared store — `None` for
+    /// private-store sessions (Algorithm I at one worker) and MPO
+    /// sessions. An owned handle: reclamation may swap
     /// the cell while the caller still runs against this generation.
     pub(crate) fn warm_store(&self) -> Option<Arc<SharedTddStore>> {
         self.store.as_ref().map(StoreCell::get)
@@ -479,8 +476,8 @@ impl CompiledCheck {
     /// Bytes of backing storage held by the session's warm store
     /// ([`SharedTddStore::bytes_used`]) — the footprint a byte-budgeted
     /// session cache accounts against. 0 for private-store sessions
-    /// (Algorithm I at one worker under [`crate::SharedTableMode::Auto`]),
-    /// whose per-query arenas die with each query.
+    /// (Algorithm I at one worker), whose per-query arenas die with each
+    /// query.
     ///
     /// Steps down when `options.store_reclaim` retires the store for a
     /// compact successor at a quiescent boundary; with reclamation off
@@ -1061,18 +1058,13 @@ impl CompiledCheck {
         })
     }
 
-    /// The Algorithm II sweep body: greedily batches points into the
-    /// widest monomorphised lane width ≤ `options.sweep_lanes` and
-    /// contracts each batch in one multi-lane traversal, ⌈N/LANES⌉
-    /// passes instead of N. The ragged tail (and everything, when lanes
-    /// resolve off) runs the scalar per-point reference path.
-    ///
-    /// Lanes engage only over the session's warm shared store: the lane
-    /// snap replicates the *canonical* interning that makes scalar
-    /// results value-pure. A private-store session
-    /// ([`crate::SharedTableMode::Off`]) keeps first-come-first-served
-    /// weight merging, which is order-dependent — so it stays on the
-    /// scalar path and its results are unchanged by construction.
+    /// The Algorithm II sweep body: greedily batches points into lane
+    /// widths of 8, 4 and 2 and contracts each batch in one multi-lane
+    /// traversal, ⌈N/8⌉ passes instead of N. A single remaining point
+    /// runs the scalar per-point reference path — so a one-point sweep
+    /// is always scalar. The lane snap replicates the canonical
+    /// interning of the session's warm shared store, which is what keeps
+    /// every lane bit-identical to its scalar run.
     ///
     /// A batch whose lanes diverge (a value-dependent decision that is
     /// not lane-uniform — see [`qaec_tdd::lanes`]) is replayed per
@@ -1085,16 +1077,12 @@ impl CompiledCheck {
         epsilon: f64,
         points: &[Vec<NoiseChannel>],
     ) -> Result<Vec<SweepPoint>, QaecError> {
-        let max_lanes = match &self.store {
-            Some(_) => clamp_lane_width(self.options.sweep_lanes),
-            None => 1,
-        };
         let mut out = Vec::with_capacity(points.len());
         let mut rest = points;
         while !rest.is_empty() {
             let width = [8, 4, 2]
                 .into_iter()
-                .find(|&w| w <= max_lanes && w <= rest.len())
+                .find(|&w| w <= rest.len())
                 .unwrap_or(1);
             if width == 1 {
                 out.push(self.alg2_point(artifacts, &rest[0], epsilon)?);
@@ -1103,7 +1091,9 @@ impl CompiledCheck {
             }
             let (batch, tail) = rest.split_at(width);
             rest = tail;
-            let store = self.warm_store().expect("lane widths require a store");
+            let store = self
+                .warm_store()
+                .expect("Algorithm II sessions hold a shared store");
             let report = match width {
                 8 => artifacts.run_channels_lanes::<8>(batch, &self.options, &store)?,
                 4 => artifacts.run_channels_lanes::<4>(batch, &self.options, &store)?,

@@ -2,13 +2,13 @@
 //! agreement and deadline behaviour of the DAG-scheduled contraction.
 //!
 //! The properties under test mirror the Algorithm I engine suite:
-//! shared-store runs must be **bit-identical** for every thread count
-//! (the scheduler's purity argument), `--threads` must not change what
+//! Algorithm II always contracts on the shared store, so runs must be
+//! **bit-identical** for every thread count, one included (the
+//! scheduler's purity argument), `--threads` must not change what
 //! `check` reports, and deadlines must fire on every worker count.
 
 use qaec::{
-    check_equivalence, fidelity_alg1, fidelity_alg2, AlgorithmChoice, CheckOptions,
-    SharedTableMode, TermOrder,
+    check_equivalence, fidelity_alg1, fidelity_alg2, AlgorithmChoice, CheckOptions, TermOrder,
 };
 use qaec_circuit::generators::{grover_dac21, qft, tile, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
@@ -27,28 +27,25 @@ fn fixtures() -> Vec<(&'static str, Circuit, Circuit)> {
     ]
 }
 
-fn alg2_options(threads: usize, shared_table: SharedTableMode) -> CheckOptions {
+fn alg2_options(threads: usize) -> CheckOptions {
     CheckOptions {
         algorithm: AlgorithmChoice::AlgorithmII,
         threads,
-        shared_table,
         ..CheckOptions::default()
     }
 }
 
-/// Shared-store Algorithm II is bit-identical across thread counts: the
+/// Algorithm II is bit-identical across thread counts: the
 /// canonical store makes every plan step a pure function of its
 /// operands, so any topological schedule computes the same fidelity and
 /// the same `max_nodes`.
 #[test]
 fn parallel_alg2_is_bit_identical_across_thread_counts() {
     for (name, ideal, noisy) in fixtures() {
-        let reference = fidelity_alg2(&ideal, &noisy, &alg2_options(1, SharedTableMode::On))
-            .expect("sequential shared");
+        let reference = fidelity_alg2(&ideal, &noisy, &alg2_options(1)).expect("sequential shared");
         for threads in [2usize, 4, 8] {
             let parallel =
-                fidelity_alg2(&ideal, &noisy, &alg2_options(threads, SharedTableMode::On))
-                    .expect("parallel shared");
+                fidelity_alg2(&ideal, &noisy, &alg2_options(threads)).expect("parallel shared");
             assert_eq!(
                 parallel.fidelity.to_bits(),
                 reference.fidelity.to_bits(),
@@ -65,9 +62,7 @@ fn parallel_alg2_is_bit_identical_across_thread_counts() {
 /// The acceptance property of the top-level checker: under default
 /// options, `check --algorithm 2 --threads 4` reports bit-identical
 /// fidelity bounds and the same verdict and node count as `--threads 1`
-/// — whichever storage backend the environment selects (`Auto` resolves
-/// to the shared store for Algorithm II at every thread count, `Off`
-/// falls back to the private sequential driver for both).
+/// — whichever reclamation mode the environment selects.
 #[test]
 fn check_alg2_reports_identically_for_any_thread_count() {
     for (name, ideal, noisy) in fixtures() {
@@ -107,39 +102,31 @@ fn check_alg2_reports_identically_for_any_thread_count() {
     }
 }
 
-/// The private sequential driver (`--shared-table off`) and the shared
-/// parallel driver agree to the interning tolerance, and Algorithm I
-/// cross-checks Algorithm II under threads.
+/// Algorithm I cross-checks the parallel Algorithm II driver, on the
+/// shared store (4 workers) and on the private one-worker store alike.
 #[test]
-fn parallel_alg2_agrees_with_private_driver_and_alg1() {
+fn parallel_alg2_agrees_with_alg1() {
     for (name, ideal, noisy) in fixtures() {
-        let private = fidelity_alg2(&ideal, &noisy, &alg2_options(4, SharedTableMode::Off))
-            .expect("private fallback");
-        let shared = fidelity_alg2(&ideal, &noisy, &alg2_options(4, SharedTableMode::On))
-            .expect("shared parallel");
-        assert!(
-            (private.fidelity - shared.fidelity).abs() < 1e-9,
-            "{name}: private {} vs shared {}",
-            private.fidelity,
-            shared.fidelity
-        );
-        let alg1 = fidelity_alg1(
-            &ideal,
-            &noisy,
-            None,
-            &CheckOptions {
-                threads: 4,
-                term_order: TermOrder::Lexicographic,
-                ..CheckOptions::default()
-            },
-        )
-        .expect("alg1 parallel");
-        assert!(
-            (alg1.fidelity_lower - shared.fidelity).abs() < 1e-6,
-            "{name}: alg1 {} vs alg2 {}",
-            alg1.fidelity_lower,
-            shared.fidelity
-        );
+        let shared = fidelity_alg2(&ideal, &noisy, &alg2_options(4)).expect("shared parallel");
+        for threads in [1usize, 4] {
+            let alg1 = fidelity_alg1(
+                &ideal,
+                &noisy,
+                None,
+                &CheckOptions {
+                    threads,
+                    term_order: TermOrder::Lexicographic,
+                    ..CheckOptions::default()
+                },
+            )
+            .expect("alg1");
+            assert!(
+                (alg1.fidelity_lower - shared.fidelity).abs() < 1e-6,
+                "{name} alg1 threads={threads}: alg1 {} vs alg2 {}",
+                alg1.fidelity_lower,
+                shared.fidelity
+            );
+        }
     }
 }
 
@@ -152,8 +139,8 @@ fn tiled_circuits_stay_bit_identical_and_factor() {
     let block = qft(3, QftStyle::DecomposedNoSwaps);
     let ideal = tile(&block, 3);
     let noisy = insert_random_noise(&ideal, &NoiseChannel::Depolarizing { p: 0.999 }, 6, 17);
-    let seq = fidelity_alg2(&ideal, &noisy, &alg2_options(1, SharedTableMode::On)).expect("t1");
-    let par = fidelity_alg2(&ideal, &noisy, &alg2_options(4, SharedTableMode::On)).expect("t4");
+    let seq = fidelity_alg2(&ideal, &noisy, &alg2_options(1)).expect("t1");
+    let par = fidelity_alg2(&ideal, &noisy, &alg2_options(4)).expect("t4");
     assert_eq!(seq.fidelity.to_bits(), par.fidelity.to_bits());
     assert_eq!(seq.max_nodes, par.max_nodes);
     assert!(seq.fidelity > 0.9 && seq.fidelity < 1.0, "noise must bite");
@@ -167,7 +154,7 @@ fn parallel_alg2_deadline_times_out() {
     for threads in [1usize, 4] {
         let options = CheckOptions {
             deadline: Some(Instant::now() - Duration::from_millis(1)),
-            ..alg2_options(threads, SharedTableMode::On)
+            ..alg2_options(threads)
         };
         assert_eq!(
             fidelity_alg2(&ideal, &noisy, &options).unwrap_err(),

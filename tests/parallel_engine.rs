@@ -1,13 +1,14 @@
 //! The work-stealing parallel term engine: sequential/parallel agreement
 //! on bounds and verdicts, `max_terms`/`deadline` composition, early
 //! ε-exit on the Fig. 7 QFT workloads, thread-count determinism of the
-//! Monte-Carlo estimator, and — for the shared concurrent TDD store —
-//! *bit-identical* results across every thread count.
+//! Monte-Carlo estimator, and — on the shared concurrent TDD store that
+//! every multi-worker run uses — *bit-identical* results across every
+//! thread count.
 
 use proptest::prelude::*;
 use qaec::{
     check_equivalence, fidelity_alg1, fidelity_monte_carlo, AlgorithmChoice, CheckOptions,
-    QaecError, SharedTableMode, TermOrder, Verdict,
+    QaecError, TermOrder, Verdict,
 };
 use qaec_circuit::generators::{qft, random_circuit, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
@@ -20,17 +21,6 @@ fn with_threads(threads: usize, term_order: TermOrder) -> CheckOptions {
         threads,
         term_order,
         ..CheckOptions::default()
-    }
-}
-
-fn with_backend(
-    threads: usize,
-    term_order: TermOrder,
-    shared_table: SharedTableMode,
-) -> CheckOptions {
-    CheckOptions {
-        shared_table,
-        ..with_threads(threads, term_order)
     }
 }
 
@@ -61,74 +51,39 @@ fn instance() -> impl proptest::strategy::Strategy<Value = (Circuit, Circuit)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Exact mode on the *private* backend: 2/4/8 workers reproduce the
-    /// sequential bounds to 1e-9 in both term orders (each private
-    /// manager snaps weights along its own history, so tolerance-level
-    /// drift is the contract here; bit-equality is the shared store's).
-    #[test]
-    fn parallel_exact_matches_sequential_bounds((ideal, noisy) in instance()) {
-        for term_order in [TermOrder::Lexicographic, TermOrder::BestFirst] {
-            let seq = fidelity_alg1(
-                &ideal, &noisy, None,
-                &with_backend(1, term_order, SharedTableMode::Off),
-            ).expect("sequential");
-            for threads in [2usize, 4, 8] {
-                let par = fidelity_alg1(
-                    &ideal, &noisy, None,
-                    &with_backend(threads, term_order, SharedTableMode::Off),
-                ).expect("parallel");
-                prop_assert!(
-                    (par.fidelity_lower - seq.fidelity_lower).abs() < 1e-9,
-                    "{term_order:?} t={threads}: lower {} vs {}",
-                    par.fidelity_lower, seq.fidelity_lower
-                );
-                prop_assert!(
-                    (par.fidelity_upper - seq.fidelity_upper).abs() < 1e-9,
-                    "{term_order:?} t={threads}: upper {} vs {}",
-                    par.fidelity_upper, seq.fidelity_upper
-                );
-                prop_assert_eq!(par.terms_computed, seq.terms_computed);
-                prop_assert!(par.stats.nodes_created > 0);
-            }
-        }
-    }
-
-    /// The shared store's acceptance property: `threads ∈ {1, 2, 4, 8}`
-    /// produce **bit-identical** fidelity bounds and term counts (the
-    /// former 1e-9 tolerance, upgraded to `f64::to_bits` equality). The
-    /// two backends must still agree to interning-tolerance accuracy.
+    /// The shared store's acceptance property: `threads ∈ {2, 3, 4}`
+    /// produce **bit-identical** fidelity bounds and term counts
+    /// (`f64::to_bits` equality). The one-worker private store must
+    /// still agree with them to interning-tolerance accuracy.
     #[test]
     fn shared_store_runs_are_bit_identical_across_thread_counts((ideal, noisy) in instance()) {
         for term_order in [TermOrder::Lexicographic, TermOrder::BestFirst] {
-            let seq = fidelity_alg1(
-                &ideal, &noisy, None,
-                &with_backend(1, term_order, SharedTableMode::On),
-            ).expect("sequential shared");
-            for threads in [2usize, 4, 8] {
+            let reference = fidelity_alg1(
+                &ideal, &noisy, None, &with_threads(2, term_order),
+            ).expect("two-worker shared");
+            for threads in [3usize, 4] {
                 let par = fidelity_alg1(
-                    &ideal, &noisy, None,
-                    &with_backend(threads, term_order, SharedTableMode::On),
+                    &ideal, &noisy, None, &with_threads(threads, term_order),
                 ).expect("parallel shared");
                 prop_assert_eq!(
-                    par.fidelity_lower.to_bits(), seq.fidelity_lower.to_bits(),
+                    par.fidelity_lower.to_bits(), reference.fidelity_lower.to_bits(),
                     "{:?} t={}: lower {} vs {}",
-                    term_order, threads, par.fidelity_lower, seq.fidelity_lower
+                    term_order, threads, par.fidelity_lower, reference.fidelity_lower
                 );
                 prop_assert_eq!(
-                    par.fidelity_upper.to_bits(), seq.fidelity_upper.to_bits(),
+                    par.fidelity_upper.to_bits(), reference.fidelity_upper.to_bits(),
                     "{:?} t={}: upper {} vs {}",
-                    term_order, threads, par.fidelity_upper, seq.fidelity_upper
+                    term_order, threads, par.fidelity_upper, reference.fidelity_upper
                 );
-                prop_assert_eq!(par.terms_computed, seq.terms_computed);
+                prop_assert_eq!(par.terms_computed, reference.terms_computed);
             }
             let private = fidelity_alg1(
-                &ideal, &noisy, None,
-                &with_backend(1, term_order, SharedTableMode::Off),
+                &ideal, &noisy, None, &with_threads(1, term_order),
             ).expect("sequential private");
             prop_assert!(
-                (seq.fidelity_lower - private.fidelity_lower).abs() < 1e-8,
+                (reference.fidelity_lower - private.fidelity_lower).abs() < 1e-8,
                 "backends diverged: shared {} vs private {}",
-                seq.fidelity_lower, private.fidelity_lower
+                reference.fidelity_lower, private.fidelity_lower
             );
         }
     }
@@ -136,9 +91,9 @@ proptest! {
     /// ε-decision mode: parallel verdicts agree with sequential ones for
     /// ε ∈ {1e-2, 1e-4} in both term orders (skipping razor-edge
     /// instances where fidelity sits within 1e-9 of the threshold), and
-    /// on the shared store the decided *bounds* are bit-identical too —
-    /// the ordered reducer freezes the decision at the sequential-prefix
-    /// point whatever the scheduling.
+    /// across shared-store runs the decided *bounds* are bit-identical
+    /// too — the ordered reducer freezes the decision at the
+    /// sequential-prefix point whatever the scheduling.
     #[test]
     fn parallel_epsilon_verdicts_match_sequential((ideal, noisy) in instance()) {
         let exact = fidelity_alg1(&ideal, &noisy, None, &CheckOptions::default())
@@ -151,34 +106,32 @@ proptest! {
                 }
                 let seq = check_equivalence(&ideal, &noisy, eps, &with_threads(1, term_order))
                     .expect("sequential");
-                let seq_shared = check_equivalence(
-                    &ideal, &noisy, eps,
-                    &with_backend(1, term_order, SharedTableMode::On),
-                ).expect("sequential shared");
-                for threads in [2usize, 4, 8] {
+                let reference =
+                    check_equivalence(&ideal, &noisy, eps, &with_threads(2, term_order))
+                        .expect("two-worker shared");
+                prop_assert_eq!(
+                    reference.verdict, seq.verdict,
+                    "{:?} t=2 ε={}: exact fidelity {}", term_order, eps, exact
+                );
+                for threads in [3usize, 4] {
                     let par =
                         check_equivalence(&ideal, &noisy, eps, &with_threads(threads, term_order))
-                            .expect("parallel");
+                            .expect("parallel shared");
                     prop_assert_eq!(
                         par.verdict, seq.verdict,
                         "{:?} t={} ε={}: exact fidelity {}", term_order, threads, eps, exact
                     );
-                    let par_shared = check_equivalence(
-                        &ideal, &noisy, eps,
-                        &with_backend(threads, term_order, SharedTableMode::On),
-                    ).expect("parallel shared");
-                    prop_assert_eq!(par_shared.verdict, seq_shared.verdict);
                     prop_assert_eq!(
-                        par_shared.fidelity_bounds.0.to_bits(),
-                        seq_shared.fidelity_bounds.0.to_bits(),
+                        par.fidelity_bounds.0.to_bits(),
+                        reference.fidelity_bounds.0.to_bits(),
                         "shared ε bounds must be bit-stable ({:?} t={} ε={})",
                         term_order, threads, eps
                     );
                     prop_assert_eq!(
-                        par_shared.fidelity_bounds.1.to_bits(),
-                        seq_shared.fidelity_bounds.1.to_bits()
+                        par.fidelity_bounds.1.to_bits(),
+                        reference.fidelity_bounds.1.to_bits()
                     );
-                    prop_assert_eq!(par_shared.terms_computed, seq_shared.terms_computed);
+                    prop_assert_eq!(par.terms_computed, reference.terms_computed);
                 }
             }
         }
@@ -267,63 +220,43 @@ fn parallel_max_terms_and_epsilon_compose() {
 /// The Monte-Carlo sample stream is a function of the seed alone: thread
 /// count changes only which worker contracts which distinct string. On
 /// the shared store every string's trace is scheduling-independent, so
-/// the estimate is **bit-identical** for every thread count; on private
-/// stores it agrees to the weight-interning tolerance.
+/// the estimate is **bit-identical** for every multi-worker count; the
+/// one-worker private store is bit-reproducible on its own and agrees
+/// with the shared store to the weight-interning tolerance.
 #[test]
 fn monte_carlo_estimate_is_thread_count_stable() {
     let ideal = random_circuit(2, 8, 41);
     let noisy = insert_random_noise(&ideal, &NoiseChannel::BitFlip { p: 0.9 }, 2, 42);
-    let reference = fidelity_monte_carlo(
-        &ideal,
-        &noisy,
-        400,
-        7,
-        &with_backend(1, TermOrder::BestFirst, SharedTableMode::Off),
-    )
-    .expect("sequential mc");
-    let repeat = fidelity_monte_carlo(
-        &ideal,
-        &noisy,
-        400,
-        7,
-        &with_backend(1, TermOrder::BestFirst, SharedTableMode::Off),
-    )
-    .expect("repeat mc");
-    // One worker → bitwise identical.
-    assert_eq!(reference.estimate, repeat.estimate);
-    assert_eq!(reference.std_error, repeat.std_error);
-    let shared_reference = fidelity_monte_carlo(
-        &ideal,
-        &noisy,
-        400,
-        7,
-        &with_backend(1, TermOrder::BestFirst, SharedTableMode::On),
-    )
-    .expect("sequential shared mc");
-    for threads in [2usize, 4, 8] {
-        let opts = with_backend(threads, TermOrder::BestFirst, SharedTableMode::Off);
-        let parallel = fidelity_monte_carlo(&ideal, &noisy, 400, 7, &opts).expect("parallel mc");
-        // Identical sampling; interning-level numerical drift only.
-        assert!(
-            (reference.estimate - parallel.estimate).abs() < 1e-7,
-            "t={threads}: {} vs {}",
-            reference.estimate,
-            parallel.estimate
-        );
-        assert_eq!(
-            reference.distinct_strings, parallel.distinct_strings,
-            "t={threads}"
-        );
-        assert_eq!(reference.samples, parallel.samples, "t={threads}");
-
-        let shared = fidelity_monte_carlo(
+    let mc = |threads: usize| {
+        fidelity_monte_carlo(
             &ideal,
             &noisy,
             400,
             7,
-            &with_backend(threads, TermOrder::BestFirst, SharedTableMode::On),
+            &with_threads(threads, TermOrder::BestFirst),
         )
-        .expect("parallel shared mc");
+        .expect("mc")
+    };
+    let reference = mc(1);
+    let repeat = mc(1);
+    // One worker → bitwise identical.
+    assert_eq!(reference.estimate, repeat.estimate);
+    assert_eq!(reference.std_error, repeat.std_error);
+    let shared_reference = mc(2);
+    for threads in [2usize, 3, 4] {
+        let shared = mc(threads);
+        // Identical sampling; interning-level numerical drift only.
+        assert!(
+            (reference.estimate - shared.estimate).abs() < 1e-7,
+            "t={threads}: {} vs {}",
+            reference.estimate,
+            shared.estimate
+        );
+        assert_eq!(
+            reference.distinct_strings, shared.distinct_strings,
+            "t={threads}"
+        );
+        assert_eq!(reference.samples, shared.samples, "t={threads}");
         assert_eq!(
             shared.estimate.to_bits(),
             shared_reference.estimate.to_bits(),
@@ -367,10 +300,9 @@ fn reports_carry_merged_worker_stats() {
 }
 
 /// The shared store's structure-sharing payoff, stats-level: a 4-worker
-/// shared run allocates strictly fewer nodes than the same run on
-/// private per-worker managers (which rebuild common sub-diagrams once
-/// per thread), records cross-thread unique-table hits, and reports true
-/// (non-double-counted) allocation totals ≈ the sequential run's.
+/// run records cross-thread unique-table hits, and reports true
+/// (non-double-counted) allocation totals ≈ the sequential run's, not
+/// workers × that.
 #[test]
 fn shared_store_reduces_aggregate_allocations() {
     let ideal = qft(3, QftStyle::DecomposedNoSwaps);
@@ -379,29 +311,16 @@ fn shared_store_reduces_aggregate_allocations() {
         &ideal,
         &noisy,
         None,
-        &with_backend(4, TermOrder::Lexicographic, SharedTableMode::On),
+        &with_threads(4, TermOrder::Lexicographic),
     )
     .expect("shared parallel");
-    let private = fidelity_alg1(
-        &ideal,
-        &noisy,
-        None,
-        &with_backend(4, TermOrder::Lexicographic, SharedTableMode::Off),
-    )
-    .expect("private parallel");
     let sequential = fidelity_alg1(
         &ideal,
         &noisy,
         None,
-        &with_backend(1, TermOrder::Lexicographic, SharedTableMode::Off),
+        &with_threads(1, TermOrder::Lexicographic),
     )
     .expect("sequential");
-    assert!(
-        shared.stats.nodes_created < private.stats.nodes_created,
-        "shared store must allocate less than per-worker rebuilding: {} vs {}",
-        shared.stats.nodes_created,
-        private.stats.nodes_created
-    );
     assert!(
         shared.stats.cross_unique_hits > 0,
         "4 workers on 256 terms must share structure across threads"
@@ -416,60 +335,27 @@ fn shared_store_reduces_aggregate_allocations() {
     );
 }
 
-/// With table reuse off a fresh manager is created per term; all of one
-/// worker's managers must share one store identity, so hits on nodes
-/// that the same thread built during *earlier terms* are not counted as
-/// cross-thread sharing. One worker ⇒ zero cross-thread hits, exactly.
-#[test]
-fn fresh_per_term_managers_keep_one_worker_identity() {
-    let ideal = qft(3, QftStyle::DecomposedNoSwaps);
-    let noisy = insert_random_noise(&ideal, &NoiseChannel::Depolarizing { p: 0.999 }, 2, 9);
-    let report = fidelity_alg1(
-        &ideal,
-        &noisy,
-        None,
-        &CheckOptions {
-            reuse_tables: false,
-            ..with_backend(1, TermOrder::Lexicographic, SharedTableMode::On)
-        },
-    )
-    .expect("fresh-manager shared run");
-    assert!(
-        report.stats.unique_hits > 0,
-        "16 structurally-identical terms must hit the unique table"
-    );
-    assert_eq!(
-        report.stats.cross_unique_hits, 0,
-        "a single worker can never hit across threads"
-    );
-}
-
-/// Cross-term computed-table seeding: with the flag on, workers import
-/// the heaviest completed term's contraction cache before each new
-/// batch, the imports land (seed_imports) and pay off (seed_hits), and —
-/// because seeded entries are value-identical to recomputation on the
-/// canonical shared store — the result stays bit-identical.
+/// Cross-term computed-table seeding: on shared-store runs, workers
+/// import the heaviest completed term's contraction cache before each
+/// new batch, the imports land (seed_imports) and pay off (seed_hits),
+/// and — because seeded entries are value-identical to recomputation on
+/// the canonical shared store — the result stays bit-identical to a
+/// run with a different worker count. A one-worker private run never
+/// seeds.
 #[test]
 fn cont_cache_seeding_imports_pay_off_and_preserve_results() {
     let ideal = qft(3, QftStyle::DecomposedNoSwaps);
     let noisy = insert_random_noise(&ideal, &NoiseChannel::Depolarizing { p: 0.999 }, 4, 6);
-    let unseeded = fidelity_alg1(
-        &ideal,
-        &noisy,
-        None,
-        &with_backend(1, TermOrder::BestFirst, SharedTableMode::On),
-    )
-    .expect("unseeded sequential shared");
-    let seeded = fidelity_alg1(
-        &ideal,
-        &noisy,
-        None,
-        &CheckOptions {
-            seed_cont_cache: true,
-            ..with_backend(4, TermOrder::BestFirst, SharedTableMode::On)
-        },
-    )
-    .expect("seeded parallel shared");
+    let run = |threads: usize| {
+        fidelity_alg1(
+            &ideal,
+            &noisy,
+            None,
+            &with_threads(threads, TermOrder::BestFirst),
+        )
+        .expect("alg1")
+    };
+    let seeded = run(4);
     assert!(
         seeded.stats.seed_imports > 0,
         "4 workers over 256 terms must import at least one snapshot entry"
@@ -480,27 +366,10 @@ fn cont_cache_seeding_imports_pay_off_and_preserve_results() {
     );
     assert_eq!(
         seeded.fidelity_lower.to_bits(),
-        unseeded.fidelity_lower.to_bits(),
+        run(2).fidelity_lower.to_bits(),
         "seeding may only transplant work, never change values"
     );
-    // Seeding defaults on for shared-store runs; `seed_cont_cache:
-    // false` is the escape hatch and must silence all traffic.
-    let plain = fidelity_alg1(
-        &ideal,
-        &noisy,
-        None,
-        &CheckOptions {
-            seed_cont_cache: false,
-            ..with_backend(4, TermOrder::BestFirst, SharedTableMode::On)
-        },
-    )
-    .expect("plain parallel shared");
-    assert_eq!(plain.stats.seed_imports, 0);
-    assert_eq!(plain.stats.seed_hits, 0);
-    // And the default-on path is value-transparent too.
-    assert_eq!(
-        plain.fidelity_lower.to_bits(),
-        seeded.fidelity_lower.to_bits(),
-        "disabling seeding may not change values either"
-    );
+    let private = run(1);
+    assert_eq!(private.stats.seed_imports, 0);
+    assert_eq!(private.stats.seed_hits, 0);
 }

@@ -11,7 +11,7 @@
 
 use qaec::{
     check_equivalence, jamiolkowski_fidelity, AlgorithmChoice, CheckOptions, Checker, QaecError,
-    SharedTableMode, Verdict,
+    StoreReclaimMode, Verdict,
 };
 use qaec_circuit::generators::{qft, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
@@ -30,11 +30,10 @@ fn fixture(n: usize, sites: usize) -> (Circuit, Circuit) {
     (ideal, noisy)
 }
 
-fn options(algorithm: AlgorithmChoice, threads: usize, shared: SharedTableMode) -> CheckOptions {
+fn options(algorithm: AlgorithmChoice, threads: usize) -> CheckOptions {
     CheckOptions {
         algorithm,
         threads,
-        shared_table: shared,
         ..CheckOptions::default()
     }
 }
@@ -57,53 +56,36 @@ fn reparameterise(noisy: &Circuit, p: f64) -> Circuit {
     out
 }
 
-/// Compile-once / query-many returns the one-shot values: bitwise
-/// wherever the engine guarantees determinism (sequential runs; any
-/// shared-store run — canonical interning makes warm reuse
-/// value-transparent), and within the interning tolerance for the one
-/// configuration without that guarantee (parallel private stores, whose
-/// per-worker interning history is scheduler-dependent).
+/// Compile-once / query-many returns the one-shot values bit for bit,
+/// on every backend and store: the sequential private Algorithm I path
+/// is the identical code path either way, and every shared-store run
+/// (Algorithm I at four threads, Algorithm II always) is
+/// bit-deterministic because canonical interning makes warm reuse
+/// value-transparent.
 #[test]
 fn compiled_fidelity_matches_one_shot_across_backends() {
     let (ideal, noisy) = fixture(3, 4);
     for algorithm in [AlgorithmChoice::AlgorithmI, AlgorithmChoice::AlgorithmII] {
         for threads in [1usize, 4] {
-            for shared in [SharedTableMode::On, SharedTableMode::Off] {
-                let opts = options(algorithm, threads, shared);
-                let one_shot = jamiolkowski_fidelity(&ideal, &noisy, &opts).expect("one-shot");
-                let mut compiled = Checker::new(&ideal, &noisy)
-                    .options(opts.clone())
-                    .compile()
-                    .expect("compile");
-                let first = compiled.fidelity().expect("query 1");
-                let second = compiled.fidelity().expect("query 2 (cached)");
-                let label = format!("{algorithm:?} t{threads} {shared:?}");
-                assert_eq!(
-                    first.to_bits(),
-                    second.to_bits(),
-                    "{label}: repeated queries must be stable"
-                );
-                // Parallel Algorithm I on private stores is the one
-                // configuration whose exact sum is only
-                // tolerance-reproducible (per-worker interning history
-                // depends on scheduling) — everywhere else the session
-                // must match the one-shot value bit for bit.
-                let bit_deterministic = !(algorithm == AlgorithmChoice::AlgorithmI
-                    && threads > 1
-                    && shared == SharedTableMode::Off);
-                if bit_deterministic {
-                    assert_eq!(
-                        first.to_bits(),
-                        one_shot.to_bits(),
-                        "{label}: compiled vs one-shot drifted: {first} vs {one_shot}"
-                    );
-                } else {
-                    assert!(
-                        (first - one_shot).abs() < 1e-9,
-                        "{label}: {first} vs {one_shot}"
-                    );
-                }
-            }
+            let opts = options(algorithm, threads);
+            let one_shot = jamiolkowski_fidelity(&ideal, &noisy, &opts).expect("one-shot");
+            let mut compiled = Checker::new(&ideal, &noisy)
+                .options(opts.clone())
+                .compile()
+                .expect("compile");
+            let first = compiled.fidelity().expect("query 1");
+            let second = compiled.fidelity().expect("query 2 (cached)");
+            let label = format!("{algorithm:?} t{threads}");
+            assert_eq!(
+                first.to_bits(),
+                second.to_bits(),
+                "{label}: repeated queries must be stable"
+            );
+            assert_eq!(
+                first.to_bits(),
+                one_shot.to_bits(),
+                "{label}: compiled vs one-shot drifted: {first} vs {one_shot}"
+            );
         }
     }
 }
@@ -115,7 +97,7 @@ fn compiled_fidelity_matches_one_shot_across_backends() {
 fn compiled_check_and_verdict_match_one_shot() {
     let (ideal, noisy) = fixture(3, 4);
     for algorithm in [AlgorithmChoice::AlgorithmI, AlgorithmChoice::AlgorithmII] {
-        let opts = options(algorithm, 1, SharedTableMode::Auto);
+        let opts = options(algorithm, 1);
         for eps in [0.5, 0.01, 1e-4, 0.0] {
             let one_shot = check_equivalence(&ideal, &noisy, eps, &opts).expect("one-shot");
             // Fresh compile: the first query is exactly the one-shot run.
@@ -161,7 +143,7 @@ fn epsilon_sweep_is_monotone_in_epsilon() {
     let (ideal, noisy) = fixture(3, 4);
     for algorithm in [AlgorithmChoice::AlgorithmI, AlgorithmChoice::AlgorithmII] {
         let mut compiled = Checker::new(&ideal, &noisy)
-            .options(options(algorithm, 1, SharedTableMode::Auto))
+            .options(options(algorithm, 1))
             .compile()
             .expect("compile");
         let fidelity = compiled.fidelity().expect("fidelity");
@@ -201,7 +183,7 @@ fn noise_sweep_matches_cold_checks_bitwise() {
     let eps = 0.01;
     for algorithm in [AlgorithmChoice::AlgorithmI, AlgorithmChoice::AlgorithmII] {
         for threads in [1usize, 4] {
-            let opts = options(algorithm, threads, SharedTableMode::Auto);
+            let opts = options(algorithm, threads);
             let compiled = Checker::new(&ideal, &noisy)
                 .options(opts.clone())
                 .compile()
@@ -218,21 +200,16 @@ fn noise_sweep_matches_cold_checks_bitwise() {
                 let cold_verdict = check_equivalence(&ideal, &cold_noisy, eps, &opts)
                     .expect("cold check")
                     .verdict;
-                // Exhaustive sums on the shared store (Auto resolves
-                // shared for alg2 always, and for alg1 at t4) are
-                // bit-deterministic; the private sequential alg1 path is
-                // the identical code path either way.
-                let bit_deterministic = algorithm == AlgorithmChoice::AlgorithmII || threads == 1;
-                if bit_deterministic {
-                    assert_eq!(
-                        point.fidelity.to_bits(),
-                        cold_f.to_bits(),
-                        "{algorithm:?} t{threads} p={p}: {} vs cold {cold_f}",
-                        point.fidelity
-                    );
-                } else {
-                    assert!((point.fidelity - cold_f).abs() < 1e-9);
-                }
+                // Exhaustive sums on the shared store (alg2 always,
+                // alg1 at t4) are bit-deterministic; the private
+                // sequential alg1 path is the identical code path
+                // either way.
+                assert_eq!(
+                    point.fidelity.to_bits(),
+                    cold_f.to_bits(),
+                    "{algorithm:?} t{threads} p={p}: {} vs cold {cold_f}",
+                    point.fidelity
+                );
                 assert_eq!(
                     point.verdict, cold_verdict,
                     "{algorithm:?} t{threads} p={p}"
@@ -258,21 +235,22 @@ fn noise_sweep_matches_cold_checks_bitwise() {
 fn warm_store_stats_are_epoch_fenced_per_point() {
     let (ideal, noisy) = fixture(4, 3);
     // Algorithm II with the shared store at one worker: deterministic
-    // and warm across the whole batch. Lanes off: the epoch fencing
-    // under test is a property of the scalar warm-store path (a lane
-    // batch contracts on its own private manager and reports the
-    // batch's allocations instead).
+    // and warm across the whole batch. Single-point sweeps: the epoch
+    // fencing under test is a property of the scalar warm-store path (a
+    // lane batch contracts on its own private manager and reports the
+    // batch's allocations instead). Reclamation off: the store must stay
+    // warm between the points whatever QAEC_STORE_RECLAIM says.
     let compiled = Checker::new(&ideal, &noisy)
         .options(CheckOptions {
-            sweep_lanes: 1,
-            ..options(AlgorithmChoice::AlgorithmII, 1, SharedTableMode::On)
+            store_reclaim: StoreReclaimMode::Off,
+            ..options(AlgorithmChoice::AlgorithmII, 1)
         })
         .compile()
         .expect("compile");
     // The same strength twice: point 2 contracts an identical network
     // over a store already holding every node point 1 interned.
-    let points = compiled.sweep_noise(0.01, &[0.99, 0.99]).expect("sweep");
-    let (first, second) = (&points[0], &points[1]);
+    let sweep = |p: f64| compiled.sweep_noise(0.01, &[p]).expect("sweep").remove(0);
+    let (first, second) = (&sweep(0.99), &sweep(0.99));
     assert_eq!(first.fidelity.to_bits(), second.fidelity.to_bits());
     assert!(
         first.stats.nodes_created > 0,
@@ -301,7 +279,7 @@ fn wrapper_and_session_error_precedence_agree() {
     let mut noisy_ideal = Circuit::new(2);
     noisy_ideal.noise(NoiseChannel::BitFlip { p: 0.9 }, &[0]);
     for algorithm in [AlgorithmChoice::AlgorithmI, AlgorithmChoice::AlgorithmII] {
-        let opts = options(algorithm, 1, SharedTableMode::Auto);
+        let opts = options(algorithm, 1);
         // Width mismatch beats a bad epsilon, in the wrapper and at
         // session compile time.
         assert_eq!(

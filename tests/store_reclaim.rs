@@ -5,17 +5,15 @@
 //! compact successor at quiescent boundaries changes *nothing*
 //! observable but the footprint — every sweep fidelity and verdict is
 //! bit-identical with reclamation on, off or auto, at every thread
-//! count and lane width; and on a multi-point sweep the reclaim-on peak
-//! footprint stays strictly (in fact multiples) below the append-only
-//! reclaim-off peak.
+//! count, on lane batches and on the scalar per-point path; and on a
+//! multi-point scalar sweep the reclaim-on peak footprint stays
+//! strictly (in fact multiples) below the append-only reclaim-off peak.
 //!
-//! Options are always set explicitly (the CI shared-table and
-//! reclamation matrices override the defaults via environment
-//! variables, and these tests pin exact configurations).
+//! Options are always set explicitly (the CI thread-sanity and
+//! reclamation passes override the defaults via environment variables,
+//! and these tests pin exact configurations).
 
-use qaec::{
-    AlgorithmChoice, CheckOptions, Checker, CompiledCheck, SharedTableMode, StoreReclaimMode,
-};
+use qaec::{AlgorithmChoice, CheckOptions, Checker, CompiledCheck, StoreReclaimMode, SweepPoint};
 use qaec_circuit::generators::{qft, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
 use qaec_circuit::{Circuit, NoiseChannel};
@@ -33,12 +31,10 @@ fn fixture(n: usize, sites: usize) -> (Circuit, Circuit) {
     (ideal, noisy)
 }
 
-fn options(threads: usize, lanes: usize, reclaim: StoreReclaimMode) -> CheckOptions {
+fn options(threads: usize, reclaim: StoreReclaimMode) -> CheckOptions {
     CheckOptions {
         algorithm: AlgorithmChoice::AlgorithmII,
         threads,
-        shared_table: SharedTableMode::On,
-        sweep_lanes: lanes,
         store_reclaim: reclaim,
         ..CheckOptions::default()
     }
@@ -56,7 +52,21 @@ fn compile(ideal: &Circuit, noisy: &Circuit, opts: &CheckOptions) -> CompiledChe
 const STRENGTHS: [f64; 8] = [0.999, 0.998, 0.997, 0.996, 0.995, 0.99, 0.98, 0.97];
 const EPSILON: f64 = 0.02;
 
-/// Reclamation modes {off, on, auto} × threads {1, 4} × lanes {1, 8}:
+/// The eight strengths as one sweep (a single width-8 lane batch) or,
+/// with `lanes` off, as eight single-point sweeps on the same session
+/// (the scalar per-point path, each point its own quiescent boundary).
+fn sweep(compiled: &CompiledCheck, lanes: bool) -> Vec<SweepPoint> {
+    if lanes {
+        compiled.sweep_noise(EPSILON, &STRENGTHS).expect("sweep")
+    } else {
+        STRENGTHS
+            .iter()
+            .flat_map(|&p| compiled.sweep_noise(EPSILON, &[p]).expect("point"))
+            .collect()
+    }
+}
+
+/// Reclamation modes {off, on, auto} × threads {1, 4} × lanes on/off:
 /// every configuration's 8-point sweep is bit-identical to the
 /// reclaim-off single-thread scalar reference. Interning is pure (a
 /// function of the value, or of the scope's values), and no engine
@@ -65,20 +75,19 @@ const EPSILON: f64 = 0.02;
 #[test]
 fn reclaim_modes_are_bit_identical_across_threads_and_lanes() {
     let (ideal, noisy) = fixture(3, 4);
-    let reference = compile(&ideal, &noisy, &options(1, 1, StoreReclaimMode::Off))
-        .sweep_noise(EPSILON, &STRENGTHS)
-        .expect("reference sweep");
+    let reference = sweep(
+        &compile(&ideal, &noisy, &options(1, StoreReclaimMode::Off)),
+        false,
+    );
     assert_eq!(reference.len(), STRENGTHS.len());
     for threads in [1usize, 4] {
-        for lanes in [1usize, 8] {
+        for lanes in [false, true] {
             for reclaim in [
                 StoreReclaimMode::Off,
                 StoreReclaimMode::On,
                 StoreReclaimMode::Auto,
             ] {
-                let swept = compile(&ideal, &noisy, &options(threads, lanes, reclaim))
-                    .sweep_noise(EPSILON, &STRENGTHS)
-                    .expect("sweep");
+                let swept = sweep(&compile(&ideal, &noisy, &options(threads, reclaim)), lanes);
                 assert_eq!(swept.len(), reference.len());
                 for (i, (point, expected)) in swept.iter().zip(&reference).enumerate() {
                     assert_eq!(
@@ -105,8 +114,8 @@ fn reclaim_modes_are_bit_identical_across_threads_and_lanes() {
 #[test]
 fn queries_survive_reclamation_between_them() {
     let (ideal, noisy) = fixture(3, 3);
-    let mut off = compile(&ideal, &noisy, &options(1, 1, StoreReclaimMode::Off));
-    let mut on = compile(&ideal, &noisy, &options(1, 1, StoreReclaimMode::On));
+    let mut off = compile(&ideal, &noisy, &options(1, StoreReclaimMode::Off));
+    let mut on = compile(&ideal, &noisy, &options(1, StoreReclaimMode::On));
     let f_off = off.fidelity().expect("fidelity off");
     let f_on = on.fidelity().expect("fidelity on");
     assert_eq!(f_off.to_bits(), f_on.to_bits());
@@ -128,11 +137,11 @@ fn queries_survive_reclamation_between_them() {
 #[test]
 fn reclaim_on_peaks_strictly_below_reclaim_off() {
     let (ideal, noisy) = fixture(4, 5);
-    let off = compile(&ideal, &noisy, &options(1, 1, StoreReclaimMode::Off));
-    let off_points = off.sweep_noise(EPSILON, &STRENGTHS).expect("off sweep");
+    let off = compile(&ideal, &noisy, &options(1, StoreReclaimMode::Off));
+    let off_points = sweep(&off, false);
     let peak_off = off.warm_store_peak_bytes();
-    let on = compile(&ideal, &noisy, &options(1, 1, StoreReclaimMode::On));
-    let on_points = on.sweep_noise(EPSILON, &STRENGTHS).expect("on sweep");
+    let on = compile(&ideal, &noisy, &options(1, StoreReclaimMode::On));
+    let on_points = sweep(&on, false);
     let peak_on = on.warm_store_peak_bytes();
     for (a, b) in off_points.iter().zip(&on_points) {
         assert_eq!(a.fidelity.to_bits(), b.fidelity.to_bits());

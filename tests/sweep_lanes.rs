@@ -1,19 +1,19 @@
 //! The vectorised (multi-lane) noise sweep against its scalar
 //! reference path.
 //!
-//! The contract under test: `sweep_lanes` is a pure performance knob.
-//! Batching sweep points into multi-lane contractions must change
-//! *nothing* observable per point — fidelities bit-identical to the
-//! scalar per-point replay at every lane width, thread count and store
-//! mode; ragged tails handled; and the ε-aware
-//! `sweep_noise_verdicts` agreeing with the exact sweep and with
-//! itself run point by point.
+//! The contract under test: lanes are a pure performance mechanism.
+//! Batching sweep points into multi-lane contractions (greedy widths
+//! 8, 4 and 2) must change *nothing* observable per point — fidelities
+//! bit-identical to single-point sweeps, which always run the scalar
+//! per-point path, at every lane width and thread count; ragged tails
+//! handled; and the ε-aware `sweep_noise_verdicts` agreeing with the
+//! exact sweep and with itself run point by point.
 //!
-//! Options are always set explicitly (the CI thread-sanity and
-//! shared-table matrices override the defaults via environment
-//! variables, and these tests pin exact configurations).
+//! Thread counts are always set explicitly (the CI thread-sanity pass
+//! overrides the default via `QAEC_THREADS`, and these tests pin exact
+//! configurations).
 
-use qaec::{AlgorithmChoice, CheckOptions, Checker, CompiledCheck, SharedTableMode};
+use qaec::{AlgorithmChoice, CheckOptions, Checker, CompiledCheck};
 use qaec_circuit::generators::{qft, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
 use qaec_circuit::{Circuit, NoiseChannel};
@@ -31,17 +31,10 @@ fn fixture(n: usize, sites: usize) -> (Circuit, Circuit) {
     (ideal, noisy)
 }
 
-fn options(
-    algorithm: AlgorithmChoice,
-    threads: usize,
-    shared: SharedTableMode,
-    lanes: usize,
-) -> CheckOptions {
+fn options(algorithm: AlgorithmChoice, threads: usize) -> CheckOptions {
     CheckOptions {
         algorithm,
         threads,
-        shared_table: shared,
-        sweep_lanes: lanes,
         ..CheckOptions::default()
     }
 }
@@ -58,47 +51,37 @@ fn compile(ideal: &Circuit, noisy: &Circuit, opts: &CheckOptions) -> CompiledChe
 const STRENGTHS: [f64; 9] = [0.999, 0.998, 0.997, 0.996, 0.995, 0.99, 0.98, 0.97, 0.96];
 const EPSILON: f64 = 0.02;
 
-/// Lane widths {1, 2, 4, 8} × threads {1, 4} × shared/private store:
-/// every configuration's sweep is bit-identical to the same
-/// configuration with lanes forced to 1 (the scalar per-point replay).
-/// Private stores keep order-dependent first-come-first-served weight
-/// merging, so lanes auto-disable there and the comparison is
-/// trivially exact; shared stores exercise the real lane engine.
+/// Sweep lengths {2, 3, 4, 6, 7, 9} × threads {1, 4}: between them the
+/// greedy batching runs every lane width (2, 4 and 8) and every ragged
+/// tail, and each sweep is bit-identical to the same points swept one
+/// at a time (the scalar per-point replay) on one compiled session.
 #[test]
 fn lane_sweep_is_bitwise_identical_to_scalar_replay() {
     let (ideal, noisy) = fixture(3, 4);
     for threads in [1usize, 4] {
-        for shared in [SharedTableMode::On, SharedTableMode::Off] {
-            let scalar = compile(
-                &ideal,
-                &noisy,
-                &options(AlgorithmChoice::AlgorithmII, threads, shared, 1),
-            )
-            .sweep_noise(EPSILON, &STRENGTHS)
-            .expect("scalar sweep");
-            for lanes in [2usize, 4, 8] {
-                let swept = compile(
-                    &ideal,
-                    &noisy,
-                    &options(AlgorithmChoice::AlgorithmII, threads, shared, lanes),
-                )
-                .sweep_noise(EPSILON, &STRENGTHS)
+        let opts = options(AlgorithmChoice::AlgorithmII, threads);
+        let replay = compile(&ideal, &noisy, &opts);
+        let scalar: Vec<_> = STRENGTHS
+            .iter()
+            .flat_map(|&p| replay.sweep_noise(EPSILON, &[p]).expect("scalar point"))
+            .collect();
+        for len in [2usize, 3, 4, 6, 7, 9] {
+            let swept = compile(&ideal, &noisy, &opts)
+                .sweep_noise(EPSILON, &STRENGTHS[..len])
                 .expect("lane sweep");
-                assert_eq!(swept.len(), scalar.len());
-                for (i, (lane, reference)) in swept.iter().zip(&scalar).enumerate() {
-                    assert_eq!(
-                        lane.fidelity.to_bits(),
-                        reference.fidelity.to_bits(),
-                        "lanes={lanes} t{threads} {shared:?} point {i}: \
-                         {} != {}",
-                        lane.fidelity,
-                        reference.fidelity
-                    );
-                    assert_eq!(
-                        lane.verdict, reference.verdict,
-                        "lanes={lanes} t{threads} {shared:?} point {i}"
-                    );
-                }
+            assert_eq!(swept.len(), len);
+            for (i, (lane, reference)) in swept.iter().zip(&scalar).enumerate() {
+                assert_eq!(
+                    lane.fidelity.to_bits(),
+                    reference.fidelity.to_bits(),
+                    "{len} points t{threads} point {i}: {} != {}",
+                    lane.fidelity,
+                    reference.fidelity
+                );
+                assert_eq!(
+                    lane.verdict, reference.verdict,
+                    "{len} points t{threads} point {i}"
+                );
             }
         }
     }
@@ -109,20 +92,12 @@ fn lane_sweep_is_bitwise_identical_to_scalar_replay() {
 #[test]
 fn lane_sweep_is_thread_count_independent() {
     let (ideal, noisy) = fixture(3, 4);
-    let t1 = compile(
-        &ideal,
-        &noisy,
-        &options(AlgorithmChoice::AlgorithmII, 1, SharedTableMode::On, 8),
-    )
-    .sweep_noise(EPSILON, &STRENGTHS)
-    .expect("t1 sweep");
-    let t4 = compile(
-        &ideal,
-        &noisy,
-        &options(AlgorithmChoice::AlgorithmII, 4, SharedTableMode::On, 8),
-    )
-    .sweep_noise(EPSILON, &STRENGTHS)
-    .expect("t4 sweep");
+    let t1 = compile(&ideal, &noisy, &options(AlgorithmChoice::AlgorithmII, 1))
+        .sweep_noise(EPSILON, &STRENGTHS)
+        .expect("t1 sweep");
+    let t4 = compile(&ideal, &noisy, &options(AlgorithmChoice::AlgorithmII, 4))
+        .sweep_noise(EPSILON, &STRENGTHS)
+        .expect("t4 sweep");
     for (a, b) in t1.iter().zip(&t4) {
         assert_eq!(a.fidelity.to_bits(), b.fidelity.to_bits());
         assert_eq!(a.verdict, b.verdict);
@@ -138,13 +113,9 @@ fn lane_sweep_is_thread_count_independent() {
 #[test]
 fn lane_batches_report_shared_batch_evidence() {
     let (ideal, noisy) = fixture(3, 4);
-    let points = compile(
-        &ideal,
-        &noisy,
-        &options(AlgorithmChoice::AlgorithmII, 1, SharedTableMode::On, 8),
-    )
-    .sweep_noise(EPSILON, &STRENGTHS)
-    .expect("sweep");
+    let points = compile(&ideal, &noisy, &options(AlgorithmChoice::AlgorithmII, 1))
+        .sweep_noise(EPSILON, &STRENGTHS)
+        .expect("sweep");
     assert_eq!(points.len(), 9);
     let head = &points[0];
     for (i, point) in points.iter().take(8).enumerate() {
@@ -158,14 +129,15 @@ fn lane_batches_report_shared_batch_evidence() {
 
 /// `sweep_noise_verdicts` (ε-aware, early-exit) agrees with the exact
 /// sweep's decisions and with itself run one strength at a time, on
-/// both backends and both store modes. The ε is chosen to split the
-/// strength range, so both verdicts actually occur.
+/// both backends at one and two threads (Algorithm I's private and
+/// shared stores). The ε is chosen to split the strength range, so
+/// both verdicts actually occur.
 #[test]
 fn verdicts_sweep_matches_exact_sweep_and_point_by_point_runs() {
     let (ideal, noisy) = fixture(3, 4);
     for algorithm in [AlgorithmChoice::AlgorithmI, AlgorithmChoice::AlgorithmII] {
-        for shared in [SharedTableMode::On, SharedTableMode::Off] {
-            let opts = options(algorithm, 1, shared, 8);
+        for threads in [1usize, 2] {
+            let opts = options(algorithm, threads);
             let compiled = compile(&ideal, &noisy, &opts);
             let verdicts = compiled
                 .sweep_noise_verdicts(EPSILON, &STRENGTHS)
@@ -175,13 +147,13 @@ fn verdicts_sweep_matches_exact_sweep_and_point_by_point_runs() {
                 .sweep_noise(EPSILON, &STRENGTHS)
                 .expect("exact sweep");
             for (i, (v, point)) in verdicts.iter().zip(&exact).enumerate() {
-                assert_eq!(*v, point.verdict, "{algorithm:?} {shared:?} point {i}");
+                assert_eq!(*v, point.verdict, "{algorithm:?} t{threads} point {i}");
             }
             for (i, &strength) in STRENGTHS.iter().enumerate() {
                 let single = compiled
                     .sweep_noise_verdicts(EPSILON, &[strength])
                     .expect("single-point verdict");
-                assert_eq!(single[0], verdicts[i], "{algorithm:?} {shared:?} point {i}");
+                assert_eq!(single[0], verdicts[i], "{algorithm:?} t{threads} point {i}");
             }
             let seen: std::collections::HashSet<_> =
                 verdicts.iter().map(|v| format!("{v}")).collect();

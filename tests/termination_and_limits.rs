@@ -135,26 +135,6 @@ fn max_terms_caps_work_but_keep_bounds_sound() {
 }
 
 #[test]
-fn tiny_gc_threshold_is_correct_just_slower() {
-    let ideal = qft(3, QftStyle::DecomposedNoSwaps);
-    let noisy = insert_random_noise(&ideal, &NoiseChannel::Depolarizing { p: 0.99 }, 2, 13);
-    let normal = fidelity_alg2(&ideal, &noisy, &CheckOptions::default())
-        .expect("normal")
-        .fidelity;
-    let tight = fidelity_alg2(
-        &ideal,
-        &noisy,
-        &CheckOptions {
-            gc_threshold: Some(16),
-            ..CheckOptions::default()
-        },
-    )
-    .expect("tight gc")
-    .fidelity;
-    assert!((normal - tight).abs() < 1e-9);
-}
-
-#[test]
 fn zero_noise_alg1_is_single_term() {
     let c = random_circuit(3, 12, 2);
     let report = fidelity_alg1(&c, &c, None, &CheckOptions::default()).expect("alg1");
