@@ -340,8 +340,8 @@ pub struct RunRecord {
     /// Warm-store bytes held when the run finished
     /// (`SharedTddStore::bytes_used` — the serving scenarios report
     /// their session cache's total, shared-store scenarios their run's
-    /// store; 0 where the notion does not apply, e.g. private-store
-    /// rows). Absent in older artifacts — parsed tolerantly as 0.
+    /// store; 0 where the notion does not apply). Absent in older
+    /// artifacts — parsed tolerantly as 0.
     pub store_bytes: u64,
     /// High-water shared-store footprint across the run
     /// (`SharedTddStore::peak_bytes_used` — survives epoch-based
@@ -530,8 +530,8 @@ pub fn read_records(path: &str) -> Result<Vec<RunRecord>, String> {
 /// The reduced "smoke" preset behind the `bench-smoke` CI job: a set of
 /// paper-table scenarios small enough to finish in seconds but broad
 /// enough to cover both algorithms, the sequential and the work-stealing
-/// parallel engine paths, ε early termination, and both storage backends
-/// (the private one-worker manager and the shared concurrent store).
+/// parallel engine paths, ε early termination, and both Algorithm I
+/// numerics (one-worker exact interning and the multi-worker grid).
 ///
 /// Besides measuring, this *asserts* the cross-run invariants the
 /// scenarios imply (parallel ε verdict equals the sequential one, early

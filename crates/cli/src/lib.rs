@@ -207,15 +207,17 @@ OPTIONS:
     --timeout <seconds>        abort after this long (default: none)
     --threads <n>              worker threads: Algorithm I / MC steal
                                trace terms (composes with --epsilon
-                               early termination) on one shared TDD
-                               store, or a private one at one thread;
-                               Algorithm II runs independent
-                               contraction-plan steps on the shared
-                               store — bit-identical results at any
-                               count (default: QAEC_THREADS env var,
+                               early termination), Algorithm II runs
+                               independent contraction-plan steps; all
+                               workers share one TDD store. Algorithm
+                               II is bit-identical at any count,
+                               Algorithm I / MC at any count >= 2; one
+                               thread interns weights exactly, so its
+                               F_J can differ from >= 2 threads by
+                               ~1e-10 (default: QAEC_THREADS env var,
                                else 1)
     --store-reclaim <on|off|auto>
-                               retire shared-store arenas at quiescent
+                               retire TDD-store arenas at quiescent
                                boundaries (between sweep points / serve
                                queries): on reclaims at every boundary,
                                auto only once the store passes a size

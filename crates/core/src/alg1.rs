@@ -17,9 +17,10 @@
 //! * parallel workers share one concurrent decision-diagram store,
 //!   hash-consing sub-diagrams across threads — so parallel runs keep
 //!   Table II's "Opt." structure sharing *and* return bit-identical
-//!   bounds/verdicts whatever the thread count; a one-worker run keeps
-//!   the private fast path, whose values agree with the shared store's
-//!   to the interning tolerance.
+//!   bounds/verdicts whatever the thread count ≥ 2; a one-worker run
+//!   interns weights exactly (one run-long glue scope instead of the
+//!   canonical grid), so its values agree with the parallel ones to
+//!   about 1e-10.
 
 use crate::engine::TermEngine;
 use crate::error::QaecError;
@@ -199,7 +200,7 @@ impl Alg1Artifacts {
     }
 
     /// Worker count a run over `total_terms` terms would use (the
-    /// session allocates a shared store when this exceeds one).
+    /// session sizes its store to it).
     pub(crate) fn workers(&self, options: &CheckOptions) -> usize {
         options
             .threads

@@ -10,12 +10,11 @@
 //! There are no independent trace terms to steal here, so `threads > 1`
 //! parallelises *inside* the contraction: the plan's step DAG is
 //! dispatched critical-path-first to a worker pool over one
-//! [`SharedTddStore`] ([`qaec_tdd::par_driver`]). Because the shared
-//! store's canonical interning makes every step's result a pure function
-//! of its operands, the fidelity and `max_nodes` are **bit-identical for
-//! every thread count** — which is why Algorithm II contracts on the
-//! shared store even at one worker (`--threads` stays a pure
-//! performance knob).
+//! [`SharedTddStore`] ([`qaec_tdd::par_driver`]). Because every plan
+//! step interns its weights in a scope of its own, each step's result
+//! is a pure function of its operands, so the fidelity and `max_nodes`
+//! are **bit-identical for every thread count**, one included
+//! (`--threads` stays a pure performance knob).
 
 use crate::error::QaecError;
 use crate::miter::{build_trace_network, identity_map, Alg2Template, BuiltNetwork};
@@ -262,7 +261,7 @@ impl Alg2Artifacts {
         let start = Instant::now();
         let store = match warm_store {
             Some(store) => Arc::clone(store),
-            None => SharedTddStore::new(),
+            None => SharedTddStore::for_workers(options.threads),
         };
         // Statistics fence: a warm (session-reused) store reports only
         // this contraction's allocation delta.

@@ -63,8 +63,9 @@ pub struct McReport {
 /// string's trace is a pure function of the string — the store's
 /// canonical weight interning is scheduling-independent — so the
 /// estimate is **bit-identical for every `threads ≥ 2`**. A one-worker
-/// run uses the private store, which agrees to the interning tolerance
-/// (≈1e-10) and is itself bit-reproducible in `seed`.
+/// run interns weights exactly (one run-long glue scope), which agrees
+/// to the interning tolerance (≈1e-10) and is itself bit-reproducible
+/// in `seed`.
 /// Shares the miter machinery (and therefore the §IV-C optimisations
 /// and contraction options) with Algorithm I.
 ///

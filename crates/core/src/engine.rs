@@ -13,15 +13,25 @@
 //! * slow terms don't stall the run: a worker that finishes its batch
 //!   steals the next one from the shared enumerator, so load balances
 //!   even when term costs vary by orders of magnitude;
-//! * with more than one worker, all workers hash-cons nodes and intern
-//!   weights into one **shared TDD store** ([`SharedTddStore`]),
-//!   recovering cross-thread structure sharing; each worker keeps only
-//!   its computed tables thread-local. A one-worker run keeps the faster
-//!   fully private [`TddManager`].
+//! * all workers hash-cons nodes and intern weights into one TDD store
+//!   ([`SharedTddStore`], sized to the worker count), recovering
+//!   cross-thread structure sharing; each worker keeps only its
+//!   computed tables thread-local.
+//!
+//! ## Interning and exactness
+//!
+//! A multi-worker run interns weights on the store's canonical grid, so
+//! a term's value does not depend on which worker computed which
+//! earlier term, and computed-table entries can be seeded from one
+//! worker to another. A one-worker run needs neither: its manager glues
+//! weights in one scope for the whole run, seeded with exact 0 and 1
+//! ([`TddManager::new_run_scoped`]), so its values carry no grid
+//! rounding. The two agree to about 1e-10; a verdict whose margin is
+//! below that can differ between `threads = 1` and `threads > 1`.
 //!
 //! ## Bit-identical parallel results
 //!
-//! Two mechanisms make every parallel run reproduce the same result
+//! Two mechanisms make every multi-worker run reproduce the same result
 //! *bit for bit*, whatever the thread count or scheduling:
 //!
 //! 1. The store's canonical weight interning makes every term's value a
@@ -34,14 +44,12 @@
 //!    completed beyond the frontier when a decision lands are simply
 //!    discarded from the report (work wasted, semantics unchanged).
 //!
-//! The one-worker private run follows the same decision semantics; its
-//! values agree with the shared store's to the interning tolerance
-//! (≈1e-10), because the private manager snaps weights along its own
-//! history.
+//! A one-worker run follows the same decision semantics and is
+//! bit-reproducible on its own.
 
 use crate::error::QaecError;
 use crate::miter::{build_trace_network, Alg1Template, BuiltNetwork};
-use crate::options::{CheckOptions, TermOrder, GC_THRESHOLD};
+use crate::options::{CheckOptions, TermOrder};
 use crate::report::Verdict;
 use qaec_tdd::fxhash::FxHashMap;
 use qaec_tdd::{
@@ -56,13 +64,6 @@ use qaec_tdd::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use qaec_tdd::sync::Mutex;
 use std::time::Instant;
 
-/// The store rule for Algorithm I and Monte-Carlo runs: more than one
-/// worker contracts on one shared store; a single worker keeps the
-/// faster private manager.
-pub(crate) fn shares_store(workers: usize) -> bool {
-    workers > 1
-}
-
 /// Everything the workers need to instantiate and contract one term.
 pub(crate) struct TermEngine<'a> {
     /// The miter with substitutable noise sites.
@@ -73,14 +74,14 @@ pub(crate) struct TermEngine<'a> {
     pub plan: &'a ContractionPlan,
     /// Decision-diagram variable order shared by every instantiation.
     pub order: &'a VarOrder,
-    /// Checker options (threads, tables, GC, deadline).
+    /// Checker options (threads, tables, deadline).
     pub options: &'a CheckOptions,
     /// `d²` normalisation for `|tr(U†Eᵢ)|²`.
     pub d2: f64,
-    /// A warm shared store to reuse instead of allocating a fresh one
+    /// A warm store to reuse instead of allocating a fresh one
     /// (compile-once sessions sweeping many queries over one store).
-    /// Only consulted when more than one worker runs; per-run
-    /// statistics are epoch-fenced so each run reports its own delta.
+    /// Per-run statistics are epoch-fenced so each run reports its own
+    /// delta.
     pub warm_store: Option<&'a Arc<SharedTddStore>>,
 }
 
@@ -246,8 +247,8 @@ struct SharedState {
     queue: Mutex<TermQueue>,
     reducer: Mutex<Reducer>,
     stop: AtomicBool,
-    /// `Some` only for shared-store runs (cache entries hold store
-    /// handles, which are not portable between private managers).
+    /// `Some` only for multi-worker runs: seeding needs canonical
+    /// interning, and one worker has nobody to import from.
     seed: Option<Mutex<SeedSlot>>,
 }
 
@@ -256,28 +257,32 @@ struct SharedState {
 /// managers to, and its local maxima.
 struct WorkerCtx<'a> {
     engine: &'a TermEngine<'a>,
-    store: Option<Arc<SharedTddStore>>,
-    /// This worker's id on the shared store — registered once per
-    /// logical worker, so fresh per-term managers (table reuse off)
-    /// don't misattribute hits on their own earlier nodes as
-    /// cross-thread sharing.
-    worker: Option<u32>,
+    store: Arc<SharedTddStore>,
+    /// This worker's id on the store — registered once per logical
+    /// worker, so fresh per-term managers (table reuse off) don't
+    /// misattribute hits on their own earlier nodes as cross-thread
+    /// sharing.
+    worker: u32,
+    /// Whether other workers run alongside (canonical interning) or
+    /// this is the run's only worker (run-long scoped interning).
+    canonical: bool,
     manager: Option<TddManager>,
     max_nodes: usize,
     stats: TddStats,
 }
 
 impl<'a> WorkerCtx<'a> {
-    fn new(engine: &'a TermEngine<'a>, store: Option<Arc<SharedTddStore>>) -> Self {
-        let worker = store.as_ref().map(|s| s.register_worker());
+    fn new(engine: &'a TermEngine<'a>, store: Arc<SharedTddStore>, canonical: bool) -> Self {
+        let worker = store.register_worker();
         let manager = engine
             .options
             .reuse_tables
-            .then(|| new_manager(store.as_ref(), worker));
+            .then(|| new_manager(&store, worker, canonical));
         WorkerCtx {
             engine,
             store,
             worker,
+            canonical,
             manager,
             max_nodes: 0,
             stats: TddStats::default(),
@@ -290,7 +295,7 @@ impl<'a> WorkerCtx<'a> {
         let mut fresh = None;
         let manager = match self.manager.as_mut() {
             Some(m) => m,
-            None => fresh.insert(new_manager(self.store.as_ref(), self.worker)),
+            None => fresh.insert(new_manager(&self.store, self.worker, self.canonical)),
         };
         let result = contract_network_opts(
             manager,
@@ -298,7 +303,6 @@ impl<'a> WorkerCtx<'a> {
             self.engine.plan,
             self.engine.order,
             DriverOptions {
-                gc_threshold: Some(GC_THRESHOLD),
                 deadline: self.engine.options.deadline,
             },
         )
@@ -321,15 +325,14 @@ impl<'a> WorkerCtx<'a> {
     }
 }
 
-/// A manager on the run's shared store under the worker's stable id, or
-/// a fully private one.
-fn new_manager(store: Option<&Arc<SharedTddStore>>, worker: Option<u32>) -> TddManager {
-    match store {
-        Some(store) => {
-            let worker = worker.expect("shared store implies a registered worker id");
-            TddManager::new_shared_with_id(store, worker)
-        }
-        None => TddManager::new(),
+/// A manager on the run's store under the worker's stable id: canonical
+/// interning when several workers run, one run-long weight scope when
+/// this is the only worker.
+fn new_manager(store: &Arc<SharedTddStore>, worker: u32, canonical: bool) -> TddManager {
+    if canonical {
+        TddManager::new_shared_with_id(store, worker)
+    } else {
+        TddManager::new_run_scoped(store, worker)
     }
 }
 
@@ -352,15 +355,15 @@ impl TermEngine<'_> {
         self.options.threads.max(1).min(jobs.max(1))
     }
 
-    /// The run's shared store, when more than one worker runs: the
-    /// session's warm store when one was supplied (value-transparent —
-    /// canonical interning makes reuse bit-identical to a fresh store),
-    /// else a fresh one.
-    fn shared_store(&self, workers: usize) -> Option<Arc<SharedTddStore>> {
-        shares_store(workers).then(|| match self.warm_store {
+    /// The run's store: the session's warm store when one was supplied
+    /// (value-transparent — both interning families make reuse
+    /// bit-identical to a fresh store), else a fresh one sized to the
+    /// worker count.
+    fn store(&self, workers: usize) -> Arc<SharedTddStore> {
+        match self.warm_store {
             Some(store) => Arc::clone(store),
-            None => SharedTddStore::new(),
-        })
+            None => SharedTddStore::for_workers(workers),
+        }
     }
 
     /// Runs the full ε-aware accumulation over every Kraus selection of
@@ -368,19 +371,22 @@ impl TermEngine<'_> {
     /// `options.deadline` and `options.threads` all respected).
     ///
     /// Bounds, verdicts and term counts always follow sequential-prefix
-    /// semantics (see the module docs); on the shared store they are
-    /// additionally bit-identical across thread counts.
+    /// semantics (see the module docs); across multi-worker counts they
+    /// are additionally bit-identical.
     pub(crate) fn run(
         &self,
         epsilon: Option<f64>,
         total_terms: usize,
     ) -> Result<EngineOutcome, QaecError> {
         let workers = self.worker_count(total_terms);
-        let store = self.shared_store(workers);
+        // One decision per run: several workers intern canonically and
+        // seed each other's caches; a lone worker does neither.
+        let canonical = workers > 1;
+        let store = self.store(workers);
         // Statistics fence: on a warm (session-reused) store this run
         // reports only its own allocation delta; on a fresh store the
         // epoch is zero and the delta equals the totals.
-        let epoch = store.as_ref().map(|s| s.reset_between_runs());
+        let epoch = store.reset_between_runs();
         // Small batches keep the stop signal responsive during ε runs;
         // exact runs amortise queue locking with larger ones.
         let batch_size = if epsilon.is_some() {
@@ -396,7 +402,7 @@ impl TermEngine<'_> {
             }),
             reducer: Mutex::new(Reducer::new(epsilon)),
             stop: AtomicBool::new(false),
-            seed: store.is_some().then(|| {
+            seed: canonical.then(|| {
                 Mutex::new(SeedSlot {
                     mass: f64::NEG_INFINITY,
                     entries: Arc::new(FxHashMap::default()),
@@ -405,7 +411,7 @@ impl TermEngine<'_> {
         };
 
         let folded = run_on_workers(workers, |_| {
-            self.epsilon_worker(&shared, store.as_ref(), batch_size)
+            self.epsilon_worker(&shared, &store, canonical, batch_size)
         });
 
         let reducer = shared
@@ -424,12 +430,10 @@ impl TermEngine<'_> {
                 Err(e) => error = Some(e),
             }
         }
-        if let Some(store) = &store {
-            // Allocation counters are store-owned: merged exactly once
-            // here, never per worker (see `SharedTddStore::stats`), and
-            // fenced to this run's epoch.
-            stats.merge(&store.stats_since(epoch.expect("epoch taken with the store")));
-        }
+        // Allocation counters are store-owned: merged exactly once here,
+        // never per worker (see `SharedTddStore::stats`), and fenced to
+        // this run's epoch.
+        stats.merge(&store.stats_since(epoch));
         // A decided verdict outranks a racing deadline in another worker
         // (the sequential loop likewise checks the bounds first).
         if reducer.decision.is_none() {
@@ -464,10 +468,11 @@ impl TermEngine<'_> {
     fn epsilon_worker(
         &self,
         shared: &SharedState,
-        store: Option<&Arc<SharedTddStore>>,
+        store: &Arc<SharedTddStore>,
+        canonical: bool,
         batch_size: usize,
     ) -> Result<(usize, TddStats), QaecError> {
-        let mut ctx = WorkerCtx::new(self, store.cloned());
+        let mut ctx = WorkerCtx::new(self, Arc::clone(store), canonical);
         let mut batch = Vec::with_capacity(batch_size);
         let mut imported_mass = f64::NEG_INFINITY;
         'steal: loop {
@@ -574,14 +579,15 @@ impl TermEngine<'_> {
     /// by the Monte-Carlo estimator for parallel trajectory evaluation.
     pub(crate) fn run_fixed(&self, jobs: &[Vec<usize>]) -> Result<FixedOutcome, QaecError> {
         let workers = self.worker_count(jobs.len());
-        let store = self.shared_store(workers);
-        let epoch = store.as_ref().map(|s| s.reset_between_runs());
+        let canonical = workers > 1;
+        let store = self.store(workers);
+        let epoch = store.reset_between_runs();
         let batch_size = (jobs.len() / (workers * 4)).clamp(1, 32);
         let cursor = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
 
         let fold_worker = || -> Result<FixedWorkerHaul, QaecError> {
-            let mut ctx = WorkerCtx::new(self, store.clone());
+            let mut ctx = WorkerCtx::new(self, Arc::clone(&store), canonical);
             let mut values = Vec::new();
             loop {
                 // ordering: SeqCst — control-flow stop flag, as in
@@ -632,9 +638,7 @@ impl TermEngine<'_> {
             max_nodes = max_nodes.max(nodes);
             stats.merge(&worker_stats);
         }
-        if let Some(store) = &store {
-            stats.merge(&store.stats_since(epoch.expect("epoch taken with the store")));
-        }
+        stats.merge(&store.stats_since(epoch));
         Ok(FixedOutcome {
             terms,
             max_nodes,
@@ -923,8 +927,8 @@ mod tests {
             d2: 64.0,
             warm_store: None,
         };
-        let store = SharedTddStore::new();
-        let mut ctx = WorkerCtx::new(&engine, Some(Arc::clone(&store)));
+        let store = SharedTddStore::for_workers(1);
+        let mut ctx = WorkerCtx::new(&engine, Arc::clone(&store), false);
         let mut terms = TermEnumerator::new(&template, TermOrder::Lexicographic);
         while let Some((choice, _)) = terms.next_term() {
             ctx.contract(&choice).expect("term");

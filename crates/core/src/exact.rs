@@ -10,7 +10,7 @@
 use crate::error::QaecError;
 use crate::miter::{build_trace_network, identity_map, Alg1Template};
 use crate::optimize::{cancel_inverse_pairs, eliminate_swaps};
-use crate::options::{CheckOptions, GC_THRESHOLD};
+use crate::options::CheckOptions;
 use qaec_circuit::Circuit;
 use qaec_math::C64;
 use qaec_tdd::{contract_network_opts, DriverOptions, TddManager};
@@ -113,7 +113,6 @@ pub fn check_unitary_equivalence(
         &plan,
         &built.order,
         DriverOptions {
-            gc_threshold: Some(GC_THRESHOLD),
             deadline: options.deadline,
         },
     )

@@ -73,10 +73,6 @@ pub enum StoreReclaimMode {
 /// arenas pass this many bytes.
 pub(crate) const RECLAIM_AUTO_THRESHOLD_BYTES: usize = 16 << 20;
 
-/// Arena size at which a private decision-diagram manager runs
-/// mark-compact garbage collection between contraction steps.
-pub(crate) const GC_THRESHOLD: usize = 2_000_000;
-
 impl StoreReclaimMode {
     /// Whether a store whose payload measures `approx_bytes` should be
     /// retired at the current quiescent boundary.
@@ -151,13 +147,14 @@ pub struct CheckOptions {
     /// workers — the emitted plan is worker-count independent, so this
     /// stays a pure performance knob end to end.
     ///
-    /// The worker count also picks the decision-diagram store. Algorithm
-    /// I and the Monte-Carlo estimator share one concurrent
-    /// [`qaec_tdd::SharedTddStore`] when more than one worker runs
-    /// (hash-consing sub-diagrams across threads, with bit-identical
-    /// results at every count ≥ 2) and keep the faster private manager
-    /// at one worker. Algorithm II always contracts on the shared store,
-    /// so its results are bit-identical at every count, one included.
+    /// Every run's workers share one [`qaec_tdd::SharedTddStore`], sized
+    /// to the worker count (one lock stripe at one worker). Algorithm II
+    /// is bit-identical at every count, one included. Algorithm I and the
+    /// Monte-Carlo estimator are bit-identical at every count ≥ 2 (their
+    /// workers intern weights on the store's canonical grid); one worker
+    /// interns exactly instead, so its values can differ from a
+    /// multi-worker run's by ~1e-10 and a verdict with a smaller margin
+    /// can flip with the thread count.
     pub threads: usize,
     /// Cap on Algorithm I terms (None = all); bounds stay correct, they
     /// just stop tightening.

@@ -78,7 +78,6 @@
 use crate::alg1::Alg1Artifacts;
 use crate::alg2::Alg2Artifacts;
 use crate::checker::{auto_choice, mpo_favored};
-use crate::engine::shares_store;
 use crate::error::QaecError;
 use crate::options::{AlgorithmChoice, CheckOptions};
 use crate::report::{AlgorithmUsed, EquivalenceReport, Verdict};
@@ -376,8 +375,8 @@ pub struct CompiledCheck {
     options: CheckOptions,
     algorithm: AlgorithmUsed,
     backend: Backend,
-    /// The session's warm shared store: always for Algorithm II, and for
-    /// Algorithm I when more than one worker runs. Reused across
+    /// The session's warm store (Algorithm I and II; sized to the
+    /// session's worker count). Reused across
     /// every query and sweep point: later queries hash-cons against
     /// everything earlier ones interned (value-transparent — interning
     /// keeps results bit-identical to fresh-store runs). Held through a
@@ -409,14 +408,13 @@ impl CompiledCheck {
         let (backend, store) = match algorithm {
             AlgorithmUsed::AlgorithmI => {
                 let artifacts = Alg1Artifacts::compile(ideal, noisy, &options);
-                let store = shares_store(artifacts.workers(&options))
-                    .then(|| StoreCell::new(SharedTddStore::new()));
-                (Backend::Alg1(artifacts), store)
+                let store = SharedTddStore::for_workers(artifacts.workers(&options));
+                (Backend::Alg1(artifacts), Some(StoreCell::new(store)))
             }
             AlgorithmUsed::AlgorithmII => {
                 let artifacts = Alg2Artifacts::compile(ideal, noisy, &options);
-                let store = Some(StoreCell::new(SharedTddStore::new()));
-                (Backend::Alg2(artifacts), store)
+                let store = SharedTddStore::for_workers(options.threads);
+                (Backend::Alg2(artifacts), Some(StoreCell::new(store)))
             }
             AlgorithmUsed::Mpo => {
                 // Only the `Auto` portfolio gets an exact fallback; a
@@ -458,9 +456,8 @@ impl CompiledCheck {
         &self.options
     }
 
-    /// The session's current warm shared store — `None` for
-    /// private-store sessions (Algorithm I at one worker) and MPO
-    /// sessions. An owned handle: reclamation may swap
+    /// The session's current warm store — `None` for MPO sessions. An
+    /// owned handle: reclamation may swap
     /// the cell while the caller still runs against this generation.
     pub(crate) fn warm_store(&self) -> Option<Arc<SharedTddStore>> {
         self.store.as_ref().map(StoreCell::get)
@@ -475,13 +472,11 @@ impl CompiledCheck {
 
     /// Bytes of backing storage held by the session's warm store
     /// ([`SharedTddStore::bytes_used`]) — the footprint a byte-budgeted
-    /// session cache accounts against. 0 for private-store sessions
-    /// (Algorithm I at one worker), whose per-query arenas die with each
-    /// query.
+    /// session cache accounts against. 0 for MPO sessions.
     ///
     /// Steps down when `options.store_reclaim` retires the store for a
     /// compact successor at a quiescent boundary; with reclamation off
-    /// the shared arenas are append-only and the number is monotone
+    /// the arenas are append-only and the number is monotone
     /// until the session drops. [`CompiledCheck::warm_store_peak_bytes`]
     /// keeps the high-water mark either way.
     pub fn warm_store_bytes(&self) -> usize {

@@ -1,7 +1,6 @@
 //! Plan execution on the decision-diagram backend.
 
 use crate::convert::from_tensor;
-use crate::gc;
 use crate::manager::{Edge, TddManager};
 use crate::ops;
 use qaec_tensornet::{ContractionPlan, PlanStep, TensorNetwork, VarOrder};
@@ -37,9 +36,6 @@ impl std::error::Error for DriverTimeout {}
 /// Execution knobs for [`contract_network_opts`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DriverOptions {
-    /// When `Some(n)`, run a mark-compact GC between steps whenever the
-    /// arena exceeds `n` nodes (clears the computed tables).
-    pub gc_threshold: Option<usize>,
     /// Abort with [`DriverTimeout`] once this instant passes. Checked
     /// between steps *and* — via the manager's amortised probe (see
     /// [`TddManager::set_deadline`]) — inside the `cont` recursion, so
@@ -134,21 +130,6 @@ fn drive(
         };
         max_nodes = max_nodes.max(m.node_count(result));
         peak_arena = peak_arena.max(m.arena_len());
-
-        if let Some(threshold) = options.gc_threshold {
-            // Shared stores are append-only: collection is unavailable,
-            // memory is bounded by cross-thread sharing instead.
-            if m.supports_gc() && m.arena_len() > threshold {
-                let roots: Vec<Edge> = slots.iter().flatten().copied().collect();
-                let kept = gc::collect(m, &roots);
-                let mut it = kept.into_iter();
-                for slot in slots.iter_mut() {
-                    if slot.is_some() {
-                        *slot = Some(it.next().expect("remapped root"));
-                    }
-                }
-            }
-        }
     }
 
     let mut root = (0..slots.len())
@@ -170,35 +151,15 @@ fn drive(
     })
 }
 
-/// [`contract_network_opts`] with a GC threshold and no deadline.
-pub fn contract_network_with(
-    m: &mut TddManager,
-    network: &TensorNetwork,
-    plan: &ContractionPlan,
-    order: &VarOrder,
-    gc_threshold: Option<usize>,
-) -> ContractionResult {
-    contract_network_opts(
-        m,
-        network,
-        plan,
-        order,
-        DriverOptions {
-            gc_threshold,
-            deadline: None,
-        },
-    )
-    .expect("no deadline configured")
-}
-
-/// [`contract_network_with`] without garbage collection.
+/// [`contract_network_opts`] without a deadline.
 pub fn contract_network(
     m: &mut TddManager,
     network: &TensorNetwork,
     plan: &ContractionPlan,
     order: &VarOrder,
 ) -> ContractionResult {
-    contract_network_with(m, network, plan, order, None)
+    contract_network_opts(m, network, plan, order, DriverOptions::default())
+        .expect("no deadline configured")
 }
 
 #[cfg(test)]
@@ -313,32 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn gc_threshold_does_not_change_results() {
-        let mut rng = StdRng::seed_from_u64(101);
-        let n = 6;
-        let mut net = TensorNetwork::new();
-        for k in 0..n {
-            let input = IndexId(k as u32);
-            let output = IndexId(((k + 1) % n) as u32);
-            net.add(Tensor::from_matrix(
-                &random_unitary_2x2(&mut rng),
-                &[output],
-                &[input],
-            ));
-        }
-        let order = VarOrder::from_sequence((0..n as u32).map(IndexId));
-        let plan = net.plan(Strategy::Sequential);
-        let mut m1 = TddManager::new();
-        let r1 = contract_network(&mut m1, &net, &plan, &order);
-        let mut m2 = TddManager::new();
-        let r2 = contract_network_with(&mut m2, &net, &plan, &order, Some(1));
-        let v1 = m1.edge_scalar(r1.root).unwrap();
-        let v2 = m2.edge_scalar(r2.root).unwrap();
-        assert!((v1 - v2).abs() < 1e-9);
-        assert!(m2.stats().gc_runs > 0, "tiny threshold must trigger GC");
-    }
-
-    #[test]
     fn deadline_mid_step_fires_with_bounded_overshoot() {
         // Regression: the deadline used to be checked only between plan
         // steps, so a plan whose *single* step was huge overran it by
@@ -383,7 +318,6 @@ mod tests {
             &plan,
             &order,
             DriverOptions {
-                gc_threshold: None,
                 deadline: Some(started + total / 20),
             },
         );

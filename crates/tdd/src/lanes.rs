@@ -146,7 +146,7 @@ const ONE_BITS: u64 = 0x3FF0_0000_0000_0000;
 type GlueBuckets = FxHashMap<(i64, i64), Vec<(f64, f64)>>;
 
 /// One lane's mirror of the scoped scalar intern
-/// (`crate::manager::SharedInterning::Scoped`): zero box → exact zero,
+/// (the per-step scoped family in `crate::manager`): zero box → exact zero,
 /// already-resolved bits → their glued value, tolerance match against a
 /// scope representative → the representative's exact bits, else the
 /// value becomes the scope's representative for its neighbourhood.

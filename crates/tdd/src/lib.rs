@@ -11,15 +11,17 @@
 //!
 //! The engine lives in [`TddManager`]:
 //!
-//! * [`weight`] — tolerance-canonical interning of complex edge weights,
-//!   so that edges are two `u32`s and table lookups are exact;
-//! * [`manager`] — normalization rules and the `TddStore` storage
-//!   abstraction: a private per-manager arena + unique table (the
-//!   sequential fast path) or a handle onto a shared concurrent store;
-//! * [`store`] — the [`SharedTddStore`]: a lock-striped unique table and
-//!   sharded canonical weight interning over append-only arenas, so the
-//!   worker managers of a parallel run hash-cons sub-diagrams *across*
-//!   threads and produce bit-identical results whatever the scheduling;
+//! * [`weight`] — the [`WeightId`] handle of an interned complex edge
+//!   weight, so that edges are two `u32`s and table lookups are exact;
+//! * [`manager`] — normalization rules, the three weight-interning
+//!   families (canonical grid, per-step scoped, run-long scoped) and the
+//!   per-manager computed tables;
+//! * [`store`] — the [`SharedTddStore`] every manager sits on: a
+//!   lock-striped unique table and sharded weight interning over
+//!   append-only arenas, with as many stripes as its workers need (one
+//!   for a one-worker run), so the worker managers of a parallel run
+//!   hash-cons sub-diagrams *across* threads and produce bit-identical
+//!   results whatever the scheduling;
 //! * [`ops`] — pointwise addition and contraction (multiply + sum out a
 //!   set of variables, with ×2 factors for variables skipped by both
 //!   operands);
@@ -39,9 +41,7 @@
 //!   divergence detection that falls back to the scalar path whenever a
 //!   value-dependent decision is not lane-uniform;
 //! * [`fxhash`] — the dependency-free Fx-style hasher behind every hot
-//!   table (unique, computed, interning);
-//! * [`gc`] — mark-compact garbage collection for long Algorithm I runs
-//!   (a documented no-op on shared stores, whose arenas are append-only).
+//!   table (unique, computed, interning).
 //!
 //! # Example
 //!
@@ -69,7 +69,6 @@ pub mod convert;
 pub mod dot;
 pub mod driver;
 pub mod fxhash;
-pub mod gc;
 pub mod lanes;
 pub mod manager;
 pub mod ops;
@@ -88,4 +87,4 @@ pub use lanes::{contract_network_lanes, LaneDivergence, LaneError, LaneOutcome};
 pub use manager::{ContCacheKey, Edge, NodeId, TddManager, TddStats, DEADLINE_PROBE_INTERVAL};
 pub use par_driver::{contract_network_parallel, run_on_workers, ParallelOptions, ParallelOutcome};
 pub use store::{SharedTddStore, StoreEpoch};
-pub use weight::{WeightId, WeightTable};
+pub use weight::WeightId;

@@ -1,19 +1,35 @@
-//! The TDD node arena, normalization rules and unique table.
+//! The TDD manager: normalization rules, weight interning and computed
+//! tables.
 //!
-//! Node and weight storage sit behind the `TddStore` abstraction with
-//! two implementations: the default **private** store (a plain arena +
-//! unique table + [`WeightTable`], exactly the sequential fast path) and
-//! the **shared** [`crate::SharedTddStore`] (lock-striped concurrent
-//! tables over append-only arenas), which several managers — one per
-//! worker thread — can attach to so sub-diagrams hash-cons *across*
-//! threads. Computed tables (`add`/`cont` memoization) always stay
-//! per-manager; only `make_node`, weight interning/arithmetic and
-//! elimination-set interning route through the store.
+//! Every manager sits on one [`crate::SharedTddStore`], which holds the
+//! nodes (unique table), the interned weights and the elimination sets.
+//! Several managers — one per worker thread — can attach to one store,
+//! so sub-diagrams hash-cons *across* threads; a one-worker run gets a
+//! store of its own with a single stripe (the stripe count is fixed
+//! from the worker count, see `crate::store`). Computed tables
+//! (`add`/`cont` memoization) always stay per-manager.
+//!
+//! A manager maps arithmetic results to weight ids through one of three
+//! interning families, chosen at construction:
+//!
+//! * **canonical** ([`TddManager::new_shared`]): snap to the store's
+//!   global `tol/32` grid — multi-worker Algorithm I and Monte-Carlo,
+//!   whose memo entries travel between workers;
+//! * **per-step scoped** ([`TddManager::new_shared_scoped`]): first-seen
+//!   tolerance gluing inside each [`TddManager::begin_weight_scope`]
+//!   window, representatives interned by exact bits — the plan drivers
+//!   (Algorithm II);
+//! * **run-long scoped** ([`TddManager::new_run_scoped`],
+//!   [`TddManager::new`]): the same gluing with one scope for the
+//!   manager's life, seeded with exact 0 and 1 — one-worker runs, whose
+//!   values are therefore exact where the grid would round (a noiseless
+//!   pair reads `F_J = 1.0`, not `1.0000000000063`).
 
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::store::{SharedTddStore, WeightClass};
-use crate::weight::{WeightId, WeightTable};
+use crate::weight::WeightId;
 use qaec_math::C64;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Handle to a node in the manager's arena. `NodeId::TERMINAL` (id 0) is
@@ -75,25 +91,25 @@ pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
 
 /// Key of one `cont` computed-table entry: the two (unit-weight) operand
 /// nodes, the interned elimination-set id and the position already
-/// consumed within it. With a shared store all four components are
-/// globally consistent, which is what lets entries travel between the
+/// consumed within it. All four components are consistent across the
+/// managers of one store, which is what lets entries travel between the
 /// workers of one run (see [`TddManager::seed_cont_cache`]).
 pub type ContCacheKey = (NodeId, NodeId, u32, u32);
 
 /// Operation counters and size statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TddStats {
-    /// Nodes ever allocated (monotone; survives GC). For a manager
-    /// attached to a shared store this stays 0 — allocations are counted
+    /// Nodes ever allocated (monotone). Store-owned: a manager's own
+    /// [`TddManager::stats`] leaves it 0, and allocations are counted
     /// once, store-side (see [`crate::SharedTddStore::stats`]), so
     /// merging every worker's stats cannot double-count them.
     pub nodes_created: u64,
-    /// Unique-table hits (structure sharing events). Store-side under
-    /// sharing, like `nodes_created`.
+    /// Unique-table hits (structure sharing events). Store-owned, like
+    /// `nodes_created`.
     pub unique_hits: u64,
     /// Unique-table hits that resolved to a node created by a *different*
-    /// worker — the cross-thread structure sharing a shared store exists
-    /// to create. Always 0 for private stores.
+    /// worker — the cross-thread structure sharing a multi-worker store
+    /// exists to create. Always 0 for one-worker runs.
     pub cross_unique_hits: u64,
     /// `add` invocations / computed-table hits.
     pub add_calls: u64,
@@ -108,29 +124,31 @@ pub struct TddStats {
     pub seed_imports: u64,
     /// `cont` computed-table hits served by an imported (seeded) entry.
     pub seed_hits: u64,
-    /// Garbage collections performed.
+    /// Garbage collections performed. Always 0: stores are append-only
+    /// and shrink only by reclamation swaps
+    /// ([`crate::SharedTddStore::successor`]). Kept so readers of the
+    /// counter set keep their shape.
     pub gc_runs: u64,
-    /// Largest arena size observed (live + dead nodes, excluding terminal).
+    /// Largest arena size observed (nodes, excluding the terminal).
     pub peak_nodes: usize,
     /// Bytes of backing storage held by the run's shared store
-    /// ([`crate::SharedTddStore::bytes_used`]) at report time. 0 for
-    /// private-store runs, whose arenas die with the manager; for warm
+    /// ([`crate::SharedTddStore::bytes_used`]) at report time. For warm
     /// sessions this is the footprint the service layer's byte-budgeted
     /// eviction accounts against.
     pub store_bytes: u64,
-    /// High-water mark of `store_bytes` over the run (and, for shared
-    /// stores, over every retired predecessor in a reclamation chain —
-    /// see [`crate::SharedTddStore::peak_bytes_used`]). With reclamation
-    /// off this equals the final `store_bytes`; with it on, the gap
-    /// between the two is the memory reclamation returned.
+    /// High-water mark of `store_bytes` over the run (and over every
+    /// retired predecessor in a reclamation chain — see
+    /// [`crate::SharedTddStore::peak_bytes_used`]). With reclamation off
+    /// this equals the final `store_bytes`; with it on, the gap between
+    /// the two is the memory reclamation returned.
     pub peak_store_bytes: u64,
 }
 
 impl TddStats {
     /// Folds another manager's counters into this one: counts add up,
     /// size maxima take the max. Used to combine the thread-local
-    /// managers of a parallel run into one report; with a shared store,
-    /// merge [`crate::SharedTddStore::stats`] exactly once on top.
+    /// managers of a run into one report; merge the store's
+    /// [`crate::SharedTddStore::stats`] exactly once on top.
     ///
     /// # Example
     ///
@@ -191,155 +209,133 @@ impl std::fmt::Display for TddStats {
     }
 }
 
-/// The private (per-manager) node/weight store: the sequential fast
-/// path, unchanged from the original single-threaded engine.
-#[derive(Debug)]
-pub(crate) struct PrivateStore {
-    pub(crate) weights: WeightTable,
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) unique: FxHashMap<Node, NodeId>,
+/// Tolerance-glue representatives of one weight scope, bucketed at
+/// `2·tol` so the 3×3 neighbourhood probe covers every representative
+/// within `tol` (Chebyshev distance).
+///
+/// Almost every bucket has one representative, so each bucket's first
+/// sits in `first` and only later ones, in election order, in `more`. A
+/// run-long scope holds a bucket per distinct weight of the run, and a
+/// vector per bucket would cost more than the weight itself.
+#[derive(Debug, Default)]
+struct Glue {
+    first: FxHashMap<(i64, i64), (C64, WeightId)>,
+    more: FxHashMap<(i64, i64), Vec<(C64, WeightId)>>,
 }
 
-impl PrivateStore {
-    /// Bytes of backing storage this private store holds: arena and
-    /// unique-table capacity plus the weight table — the private
-    /// counterpart of [`SharedTddStore::bytes_used`], so shared-vs-
-    /// private memory is actually comparable in reports. Capacity-based
-    /// like the shared estimate (hash-table entries count one control
-    /// byte per bucket, the std layout).
-    pub(crate) fn bytes_used(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<Node>()
-            + self.unique.capacity()
-                * (std::mem::size_of::<Node>() + std::mem::size_of::<NodeId>() + 1)
-            + self.weights.bytes_used()
+impl Glue {
+    /// A glue pre-seeded with exact 0 and 1, in that order, so values
+    /// within `tol` of 1 glue to [`WeightId::ONE`] itself.
+    fn seeded(tol: f64) -> Self {
+        let mut glue = Glue::default();
+        for (z, id) in [(C64::ZERO, WeightId::ZERO), (C64::ONE, WeightId::ONE)] {
+            glue.insert(Glue::key(z, tol), z, id);
+        }
+        glue
+    }
+
+    #[inline]
+    fn key(z: C64, tol: f64) -> (i64, i64) {
+        let w = 2.0 * tol;
+        ((z.re / w).round() as i64, (z.im / w).round() as i64)
+    }
+
+    /// The first representative within `tol` of `z`, probing the 3×3
+    /// neighbourhood in a fixed order; on a miss, `z`'s own bucket key.
+    /// The bucket key saturates for huge values, so the probe
+    /// saturates too.
+    #[inline]
+    fn find(&self, z: C64, tol: f64) -> Result<WeightId, (i64, i64)> {
+        let (kr, ki) = Glue::key(z, tol);
+        let near = |v: C64| (v.re - z.re).abs() <= tol && (v.im - z.im).abs() <= tol;
+        for dr in -1..=1i64 {
+            for di in -1..=1i64 {
+                let key = (kr.saturating_add(dr), ki.saturating_add(di));
+                if let Some(&(v, id)) = self.first.get(&key) {
+                    if near(v) {
+                        return Ok(id);
+                    }
+                    if let Some((_, id)) = self
+                        .more
+                        .get(&key)
+                        .and_then(|reps| reps.iter().copied().find(|&(v, _)| near(v)))
+                    {
+                        return Ok(id);
+                    }
+                }
+            }
+        }
+        Err((kr, ki))
+    }
+
+    /// Adds `z` (interned as `id`) as the newest representative of
+    /// bucket `key`.
+    fn insert(&mut self, key: (i64, i64), z: C64, id: WeightId) {
+        if let Entry::Vacant(slot) = self.first.entry(key) {
+            slot.insert((z, id));
+        } else {
+            self.more.entry(key).or_default().push((z, id));
+        }
+    }
+
+    fn clear(&mut self) {
+        self.first.clear();
+        self.more.clear();
     }
 }
 
-/// How a shared-store manager maps arithmetic results to [`WeightId`]s —
-/// the choice of interning family (see `crate::store`'s module docs).
+/// How a manager maps arithmetic results to [`WeightId`]s — its
+/// interning family (see `crate::store`'s module docs).
 #[derive(Debug)]
-pub(crate) enum SharedInterning {
+enum Interning {
     /// The grid family: snap to the canonical `tol/32` cell, globally.
     /// Every manager on the store maps equal values to one id *and one
     /// stored value*, which is what makes memo-table entries portable
-    /// across workers and trace terms (Algorithm I's seeding).
+    /// across workers and trace terms (multi-worker Algorithm I's
+    /// seeding).
     Canonical {
         /// Write-combining lookaside: grid cell → interned id. Only the
         /// first sighting of a cell takes the store's stripe lock.
         weight_cache: FxHashMap<(i64, i64), WeightId>,
     },
-    /// The exact-bits family with *scope-local* tolerance gluing: within
+    /// The exact-bits family with *per-step* tolerance gluing: within
     /// one weight scope (one leaf conversion, one plan step — see
     /// [`TddManager::begin_weight_scope`]) the first value seen in a
-    /// tolerance neighbourhood becomes its representative, exactly like
-    /// a private [`WeightTable`]; the representative's bits intern
-    /// globally by identity. Avoids the grid's cell-straddling
-    /// fragmentation (round-off twins landing in different cells), which
-    /// is what made shared-store plan runs allocate ~3× the private
-    /// driver's weights. Results stay bit-identical across schedules
-    /// because each scope is a pure function of its operand values.
+    /// tolerance neighbourhood becomes its representative; the
+    /// representative's bits intern globally by identity. Avoids the
+    /// grid's cell-straddling fragmentation (round-off twins landing in
+    /// different cells), which made plan-driver runs allocate ~3× the
+    /// weights. Results stay bit-identical across schedules because
+    /// each scope is a pure function of its operand values.
     Scoped {
         /// Cross-scope bits → global exact id (pure, never cleared).
         lookaside: FxHashMap<(u64, u64), WeightId>,
-        /// Scope-local representatives, bucketed at 2·tol for the 3×3
-        /// neighbourhood probe. Cleared at every scope boundary.
-        glue: FxHashMap<(i64, i64), Vec<(C64, WeightId)>>,
+        /// Scope-local representatives. Cleared at every scope boundary.
+        glue: Glue,
         /// Scope-local bits → already-glued id (probe short-circuit).
         resolved: FxHashMap<(u64, u64), WeightId>,
     },
-}
-
-impl SharedInterning {
-    fn canonical() -> Self {
-        SharedInterning::Canonical {
-            weight_cache: FxHashMap::default(),
-        }
-    }
-
-    fn scoped() -> Self {
-        SharedInterning::Scoped {
-            lookaside: FxHashMap::default(),
-            glue: FxHashMap::default(),
-            resolved: FxHashMap::default(),
-        }
-    }
-}
-
-/// Where a manager keeps its nodes and weights: its own [`PrivateStore`]
-/// or a handle onto a cross-thread [`SharedTddStore`].
-#[derive(Debug)]
-pub(crate) enum TddStore {
-    /// Exclusive storage owned by this manager.
-    Private(PrivateStore),
-    /// A worker handle onto storage shared with other managers.
-    Shared {
-        store: Arc<SharedTddStore>,
-        worker: u32,
-        /// Which interning family this manager routes weights through.
-        interning: SharedInterning,
+    /// The exact-bits family with one scope for the manager's whole life
+    /// (one-worker runs): first-seen tolerance gluing over every value
+    /// the manager interns, with exact 0 and 1 as the first
+    /// representatives. A pure function of the manager's own operation
+    /// sequence, so a run's answer does not depend on what else the
+    /// store holds.
+    ///
+    /// Unlike `Scoped` there is no bits → id short-circuit: probing on
+    /// every intern keeps the election exactly first-seen (a
+    /// short-circuit would pin a value to the representative it matched
+    /// first, even after a representative earlier in probe order
+    /// appears), and such a map would grow with every distinct value a
+    /// whole run computes.
+    RunLong {
+        /// Every representative this manager has elected.
+        glue: Glue,
     },
 }
 
-/// Shared-store interning through the manager's chosen family.
-#[inline]
-fn intern_shared(store: &SharedTddStore, interning: &mut SharedInterning, z: C64) -> WeightId {
-    debug_assert!(z.is_finite(), "non-finite weight {z}");
-    match interning {
-        SharedInterning::Canonical { weight_cache } => match store.classify(z) {
-            WeightClass::Zero => WeightId::ZERO,
-            WeightClass::Huge => store.intern_weight_huge(z),
-            WeightClass::Grid(re, im) => *weight_cache
-                .entry((re, im))
-                .or_insert_with(|| store.intern_weight_cell((re, im))),
-        },
-        SharedInterning::Scoped {
-            lookaside,
-            glue,
-            resolved,
-        } => {
-            let tol = store.tolerance();
-            if z.re.abs() <= tol && z.im.abs() <= tol {
-                return WeightId::ZERO;
-            }
-            let bits = (z.re.to_bits(), z.im.to_bits());
-            if let Some(&id) = resolved.get(&bits) {
-                return id;
-            }
-            // Glue within the scope: bucket width 2·tol, so the 3×3
-            // probe covers every representative within tol (Chebyshev).
-            // The bucket key saturates for huge values, so the probe
-            // must saturate too.
-            let w = 2.0 * tol;
-            let (kr, ki) = ((z.re / w).round() as i64, (z.im / w).round() as i64);
-            for dr in -1..=1i64 {
-                for di in -1..=1i64 {
-                    if let Some(reps) = glue.get(&(kr.saturating_add(dr), ki.saturating_add(di))) {
-                        for &(v, id) in reps {
-                            if (v.re - z.re).abs() <= tol && (v.im - z.im).abs() <= tol {
-                                resolved.insert(bits, id);
-                                return id;
-                            }
-                        }
-                    }
-                }
-            }
-            // First sighting in this neighbourhood: `z` becomes the
-            // scope's representative, interned globally by exact bits —
-            // so every id a scoped manager hands out is *the* global id
-            // of its stored bits, making id equality equivalent to
-            // value-bit equality (the fast paths below rely on this).
-            let id = *lookaside
-                .entry(bits)
-                .or_insert_with(|| store.intern_weight_exact(z));
-            glue.entry((kr, ki)).or_default().push((z, id));
-            resolved.insert(bits, id);
-            id
-        }
-    }
-}
-
-/// The decision-diagram engine: arena, unique table, computed tables and
-/// weight interning, shared by every diagram it creates.
+/// The decision-diagram engine: normalization, weight interning and
+/// computed tables over a [`SharedTddStore`] holding the nodes.
 ///
 /// # Example
 ///
@@ -358,14 +354,15 @@ fn intern_shared(store: &SharedTddStore, interning: &mut SharedInterning, z: C64
 /// ```
 #[derive(Debug)]
 pub struct TddManager {
-    pub(crate) store: TddStore,
+    store: Arc<SharedTddStore>,
+    /// This manager's worker id on the store (attributes cross-thread
+    /// unique-table hits).
+    worker: u32,
+    interning: Interning,
     pub(crate) add_cache: FxHashMap<(Edge, Edge), Edge>,
     pub(crate) cont_cache: FxHashMap<ContCacheKey, Edge>,
     /// Keys of `cont_cache` entries imported from another worker.
     pub(crate) cont_seeded: FxHashSet<ContCacheKey>,
-    /// Private-mode elimination sets (shared mode interns store-side).
-    elim_sets: Vec<Vec<u32>>,
-    elim_set_ids: FxHashMap<Vec<u32>, u32>,
     /// Deadline probed inside the `add`/`cont` recursions (see
     /// [`Self::set_deadline`]).
     deadline: Option<std::time::Instant>,
@@ -389,34 +386,30 @@ impl Default for TddManager {
 }
 
 impl TddManager {
-    /// A manager with a private store and the default weight tolerance
-    /// (`1e-10`).
+    /// A one-worker manager on a fresh one-stripe store with the
+    /// default weight tolerance (`1e-10`).
     pub fn new() -> Self {
         Self::with_tolerance(1e-10)
     }
 
-    /// A manager with a private store and a custom weight-interning
-    /// tolerance.
+    /// A one-worker manager on a fresh one-stripe store with a custom
+    /// weight-interning tolerance.
     ///
     /// # Panics
     ///
     /// Panics if `tol` is not strictly positive and finite.
     pub fn with_tolerance(tol: f64) -> Self {
-        Self::with_store(TddStore::Private(PrivateStore {
-            weights: WeightTable::new(tol),
-            nodes: vec![Node {
-                var: TERMINAL_VAR,
-                low: Edge::ZERO,
-                high: Edge::ZERO,
-            }], // slot 0 = terminal sentinel
-            unique: FxHashMap::default(),
-        }))
+        let store = SharedTddStore::with_tolerance(tol, 1);
+        let worker = store.register_worker();
+        Self::new_run_scoped(&store, worker)
     }
 
-    /// A worker manager attached to a [`SharedTddStore`]: nodes, weights
-    /// and elimination sets go through the shared concurrent tables,
-    /// while computed tables stay local to this manager. Handles minted
-    /// here are valid in every other manager attached to `store`.
+    /// A worker manager on `store` with **canonical** grid interning:
+    /// nodes, weights and elimination sets go through the store's
+    /// concurrent tables, while computed tables stay local to this
+    /// manager. Handles minted here are valid in every other manager
+    /// attached to `store`, and memo entries are portable between
+    /// canonical managers (see [`Self::seed_cont_cache`]).
     pub fn new_shared(store: &Arc<SharedTddStore>) -> Self {
         Self::new_shared_with_id(store, store.register_worker())
     }
@@ -428,43 +421,56 @@ impl TddManager {
     /// against that worker's own earlier nodes are not misattributed as
     /// cross-thread sharing.
     pub fn new_shared_with_id(store: &Arc<SharedTddStore>, worker: u32) -> Self {
-        Self::with_store(TddStore::Shared {
-            store: Arc::clone(store),
+        Self::with_interning(
+            store,
             worker,
-            interning: SharedInterning::canonical(),
-        })
+            Interning::Canonical {
+                weight_cache: FxHashMap::default(),
+            },
+        )
     }
 
-    /// [`Self::new_shared`] with **scope-local** weight interning: the
-    /// manager glues within [`Self::begin_weight_scope`] windows and
-    /// interns representatives by exact bits, instead of snapping to the
-    /// store's global grid. This is the plan drivers' mode — it keeps a
-    /// shared-store contraction as compact as the private driver's.
-    /// Callers own the scope boundaries: open one per leaf conversion
-    /// and per plan step, and results are bit-identical whatever the
-    /// schedule or thread count.
+    /// A manager on `store` with **per-step scoped** weight interning:
+    /// it glues within [`Self::begin_weight_scope`] windows and interns
+    /// representatives by exact bits, instead of snapping to the
+    /// store's global grid. This is the plan drivers' mode. Callers own
+    /// the scope boundaries: open one per leaf conversion and per plan
+    /// step, and results are bit-identical whatever the schedule or
+    /// thread count.
     pub fn new_shared_scoped(store: &Arc<SharedTddStore>) -> Self {
-        let mut m = Self::new_shared(store);
-        m.set_scoped_interning();
-        m
+        Self::with_interning(
+            store,
+            store.register_worker(),
+            Interning::Scoped {
+                lookaside: FxHashMap::default(),
+                glue: Glue::default(),
+                resolved: FxHashMap::default(),
+            },
+        )
     }
 
-    /// Switches this shared-store manager to the scoped interning family
-    /// (no-op on private stores). Computed tables are cleared: their
-    /// entries may cache grid-family ids, which scoped scopes must never
-    /// observe.
-    pub fn set_scoped_interning(&mut self) {
-        if let TddStore::Shared { interning, .. } = &mut self.store {
-            *interning = SharedInterning::scoped();
-            self.clear_computed_tables();
-        }
+    /// A manager on `store` with **one weight scope for its whole
+    /// life**: first-seen tolerance gluing over everything it interns,
+    /// seeded with exact 0 and 1, representatives interned by exact
+    /// bits. This is the one-worker mode (Algorithm I, Monte-Carlo,
+    /// exact checks): its values are a pure function of its own
+    /// operation sequence, whatever else `store` holds, and
+    /// [`Self::begin_weight_scope`] is a no-op for it.
+    pub fn new_run_scoped(store: &Arc<SharedTddStore>, worker: u32) -> Self {
+        Self::with_interning(
+            store,
+            worker,
+            Interning::RunLong {
+                glue: Glue::seeded(store.tolerance()),
+            },
+        )
     }
 
-    /// Opens a new weight scope on a scoped-interning manager: drops the
+    /// Opens a new weight scope on a per-step scoped manager: drops the
     /// scope-local glue so the next tolerance neighbourhood elects a
     /// fresh representative, and clears the computed tables (their
     /// entries embed the outgoing scope's representative ids). A no-op
-    /// for canonical and private managers, so generic call sites —
+    /// for canonical and run-scoped managers, so generic call sites —
     /// `from_tensor`, the plan drivers — can mark scope boundaries
     /// unconditionally.
     ///
@@ -472,30 +478,24 @@ impl TddManager {
     /// scope, representative election follows the deterministic
     /// recursion order, and across scopes only exact bits persist (via
     /// the global exact-interning family). That is the determinism
-    /// invariant that keeps scoped shared-store runs bit-identical for
-    /// every thread count.
+    /// invariant that keeps scoped runs bit-identical for every thread
+    /// count.
     pub fn begin_weight_scope(&mut self) {
-        if let TddStore::Shared {
-            interning: SharedInterning::Scoped { glue, resolved, .. },
-            ..
-        } = &mut self.store
-        {
+        if let Interning::Scoped { glue, resolved, .. } = &mut self.interning {
             glue.clear();
             resolved.clear();
-        } else {
-            return;
+            self.clear_computed_tables();
         }
-        self.clear_computed_tables();
     }
 
-    fn with_store(store: TddStore) -> Self {
+    fn with_interning(store: &Arc<SharedTddStore>, worker: u32, interning: Interning) -> Self {
         TddManager {
-            store,
+            store: Arc::clone(store),
+            worker,
+            interning,
             add_cache: FxHashMap::default(),
             cont_cache: FxHashMap::default(),
             cont_seeded: FxHashSet::default(),
-            elim_sets: Vec::new(),
-            elim_set_ids: FxHashMap::default(),
             deadline: None,
             probe_budget: DEADLINE_PROBE_INTERVAL,
             expired: false,
@@ -542,136 +542,119 @@ impl TddManager {
         false
     }
 
-    /// Whether this manager is attached to a shared store.
-    pub fn is_shared(&self) -> bool {
-        matches!(self.store, TddStore::Shared { .. })
+    /// The store this manager's nodes and weights live in.
+    pub fn store(&self) -> &Arc<SharedTddStore> {
+        &self.store
     }
 
-    /// Whether mark-compact garbage collection is available. Shared
-    /// stores are append-only (other workers hold live ids into the
-    /// arena), so [`crate::gc::collect`] is a no-op for them.
-    pub fn supports_gc(&self) -> bool {
-        !self.is_shared()
-    }
-
-    /// The private store, for the collector.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a shared-store manager (callers check
-    /// [`Self::supports_gc`] first).
-    pub(crate) fn private_mut(&mut self) -> &mut PrivateStore {
-        match &mut self.store {
-            TddStore::Private(p) => p,
-            TddStore::Shared { .. } => unreachable!("GC requested on a shared store"),
-        }
-    }
-
-    /// Operation statistics so far. For shared-store managers this holds
-    /// only the manager-local counters (computed tables, seeding);
-    /// allocation counters and store footprint live in
-    /// [`crate::SharedTddStore::stats`]. Private-store managers report
-    /// their own arena/table footprint here, so shared-vs-private
-    /// memory is comparable in merged reports.
+    /// This manager's own operation counters (computed tables,
+    /// seeding). Allocation counters and the store footprint are
+    /// store-owned and live in [`SharedTddStore::stats`], so merging
+    /// every worker's stats cannot double-count them.
     pub fn stats(&self) -> TddStats {
-        let mut stats = self.stats;
-        if let TddStore::Private(p) = &self.store {
-            stats.store_bytes = p.bytes_used() as u64;
-            stats.peak_store_bytes = stats.peak_store_bytes.max(stats.store_bytes);
-        }
-        stats
-    }
-
-    /// Records the current private-store footprint into the
-    /// `peak_store_bytes` high-water mark. Called before garbage
-    /// collection, which is the only event that can shrink a private
-    /// store mid-run.
-    pub(crate) fn note_store_peak(&mut self) {
-        if let TddStore::Private(p) = &self.store {
-            self.stats.peak_store_bytes = self.stats.peak_store_bytes.max(p.bytes_used() as u64);
-        }
+        self.stats
     }
 
     /// The weight-interning tolerance.
     pub fn tolerance(&self) -> f64 {
-        match &self.store {
-            TddStore::Private(p) => p.weights.tolerance(),
-            TddStore::Shared { store, .. } => store.tolerance(),
-        }
+        self.store.tolerance()
     }
 
-    /// Number of arena slots currently allocated (live + dead, excluding
-    /// the terminal sentinel). Global — i.e. across all workers — for a
-    /// shared store.
+    /// Number of node arena slots allocated in the store (excluding the
+    /// terminal sentinel), across every manager attached to it.
     pub fn arena_len(&self) -> usize {
-        match &self.store {
-            TddStore::Private(p) => p.nodes.len() - 1,
-            TddStore::Shared { store, .. } => store.arena_len(),
-        }
+        self.store.arena_len()
     }
 
     /// Interns a complex value as an edge weight.
     pub fn intern_weight(&mut self, z: C64) -> WeightId {
-        match &mut self.store {
-            TddStore::Private(p) => p.weights.intern(z),
-            TddStore::Shared {
-                store, interning, ..
-            } => intern_shared(store, interning, z),
+        debug_assert!(z.is_finite(), "non-finite weight {z}");
+        let store = &*self.store;
+        match &mut self.interning {
+            Interning::Canonical { weight_cache } => match store.classify(z) {
+                WeightClass::Zero => WeightId::ZERO,
+                WeightClass::Huge => store.intern_weight_huge(z),
+                WeightClass::Grid(re, im) => *weight_cache
+                    .entry((re, im))
+                    .or_insert_with(|| store.intern_weight_cell((re, im))),
+            },
+            Interning::Scoped {
+                lookaside,
+                glue,
+                resolved,
+            } => {
+                let tol = store.tolerance();
+                if z.re.abs() <= tol && z.im.abs() <= tol {
+                    return WeightId::ZERO;
+                }
+                let bits = (z.re.to_bits(), z.im.to_bits());
+                if let Some(&id) = resolved.get(&bits) {
+                    return id;
+                }
+                let id = match glue.find(z, tol) {
+                    Ok(id) => id,
+                    Err(key) => {
+                        // First sighting in this neighbourhood: `z`
+                        // becomes the scope's representative, interned
+                        // globally by exact bits — so every id a scoped
+                        // manager hands out is *the* global id of its
+                        // stored bits, making id equality equivalent to
+                        // value-bit equality (the fast paths below rely
+                        // on this).
+                        let id = *lookaside
+                            .entry(bits)
+                            .or_insert_with(|| store.intern_weight_exact(z));
+                        glue.insert(key, z, id);
+                        id
+                    }
+                };
+                resolved.insert(bits, id);
+                id
+            }
+            Interning::RunLong { glue } => {
+                let tol = store.tolerance();
+                if z.re.abs() <= tol && z.im.abs() <= tol {
+                    return WeightId::ZERO;
+                }
+                match glue.find(z, tol) {
+                    Ok(id) => id,
+                    Err(key) => {
+                        let id = store.intern_weight_exact(z);
+                        glue.insert(key, z, id);
+                        id
+                    }
+                }
+            }
         }
     }
 
     /// The complex value of an edge weight.
     #[inline]
     pub fn weight_value(&self, w: WeightId) -> C64 {
-        match &self.store {
-            TddStore::Private(p) => p.weights.value(w),
-            TddStore::Shared { store, .. } => store.weight_value(w),
-        }
+        self.store.weight_value(w)
     }
 
     /// Interned product `a·b`.
     pub(crate) fn wmul(&mut self, a: WeightId, b: WeightId) -> WeightId {
-        match &mut self.store {
-            TddStore::Private(p) => p.weights.mul(a, b),
-            TddStore::Shared {
-                store, interning, ..
-            } => {
-                if a.is_zero() || b.is_zero() {
-                    WeightId::ZERO
-                } else if a.is_one() {
-                    b
-                } else if b.is_one() {
-                    a
-                } else {
-                    intern_shared(
-                        store,
-                        interning,
-                        store.weight_value(a) * store.weight_value(b),
-                    )
-                }
-            }
+        if a.is_zero() || b.is_zero() {
+            WeightId::ZERO
+        } else if a.is_one() {
+            b
+        } else if b.is_one() {
+            a
+        } else {
+            self.intern_weight(self.weight_value(a) * self.weight_value(b))
         }
     }
 
     /// Interned sum `a + b`.
     pub(crate) fn wadd(&mut self, a: WeightId, b: WeightId) -> WeightId {
-        match &mut self.store {
-            TddStore::Private(p) => p.weights.add(a, b),
-            TddStore::Shared {
-                store, interning, ..
-            } => {
-                if a.is_zero() {
-                    b
-                } else if b.is_zero() {
-                    a
-                } else {
-                    intern_shared(
-                        store,
-                        interning,
-                        store.weight_value(a) + store.weight_value(b),
-                    )
-                }
-            }
+        if a.is_zero() {
+            b
+        } else if b.is_zero() {
+            a
+        } else {
+            self.intern_weight(self.weight_value(a) + self.weight_value(b))
         }
     }
 
@@ -681,46 +664,26 @@ impl TddManager {
     ///
     /// Panics if `b` is the zero weight.
     pub(crate) fn wdiv(&mut self, a: WeightId, b: WeightId) -> WeightId {
-        match &mut self.store {
-            TddStore::Private(p) => p.weights.div(a, b),
-            TddStore::Shared {
-                store, interning, ..
-            } => {
-                assert!(!b.is_zero(), "division by the zero weight");
-                if a.is_zero() {
-                    WeightId::ZERO
-                } else if b.is_one() {
-                    a
-                } else if a == b {
-                    WeightId::ONE
-                } else {
-                    intern_shared(
-                        store,
-                        interning,
-                        store.weight_value(a) / store.weight_value(b),
-                    )
-                }
-            }
+        assert!(!b.is_zero(), "division by the zero weight");
+        if a.is_zero() {
+            WeightId::ZERO
+        } else if b.is_one() {
+            a
+        } else if a == b {
+            WeightId::ONE
+        } else {
+            self.intern_weight(self.weight_value(a) / self.weight_value(b))
         }
     }
 
     /// Interned scalar multiple by a real factor.
     pub(crate) fn wscale_real(&mut self, a: WeightId, factor: f64) -> WeightId {
-        match &mut self.store {
-            TddStore::Private(p) => p.weights.scale_real(a, factor),
-            TddStore::Shared {
-                store, interning, ..
-            } => {
-                if factor == 0.0 || a.is_zero() {
-                    if factor == 0.0 {
-                        WeightId::ZERO
-                    } else {
-                        a
-                    }
-                } else {
-                    intern_shared(store, interning, store.weight_value(a) * factor)
-                }
-            }
+        if factor == 0.0 {
+            WeightId::ZERO
+        } else if a.is_zero() {
+            a
+        } else {
+            self.intern_weight(self.weight_value(a) * factor)
         }
     }
 
@@ -752,10 +715,7 @@ impl TddManager {
 
     #[inline]
     pub(crate) fn node(&self, n: NodeId) -> Node {
-        match &self.store {
-            TddStore::Private(p) => p.nodes[n.0 as usize],
-            TddStore::Shared { store, .. } => store.node(n),
-        }
+        self.store.node(n)
     }
 
     /// The normalized node constructor: applies the reduction rule (equal
@@ -809,26 +769,10 @@ impl TddManager {
             low: new_low,
             high: new_high,
         };
-        let node = match &mut self.store {
-            TddStore::Private(p) => match p.unique.get(&key) {
-                Some(&id) => {
-                    self.stats.unique_hits += 1;
-                    id
-                }
-                None => {
-                    let id = NodeId(p.nodes.len() as u32);
-                    p.nodes.push(key);
-                    p.unique.insert(key, id);
-                    self.stats.nodes_created += 1;
-                    self.stats.peak_nodes = self.stats.peak_nodes.max(p.nodes.len() - 1);
-                    id
-                }
-            },
-            // Allocation counters are store-owned under sharing (merged
-            // once per run), so nothing is added to the local stats here.
-            TddStore::Shared { store, worker, .. } => store.unique_node(key, *worker),
-        };
-        Edge { node, weight: norm }
+        Edge {
+            node: self.store.unique_node(key, self.worker),
+            weight: norm,
+        }
     }
 
     /// Cofactors of `e` with respect to variable `var`: the pair of edges
@@ -892,7 +836,7 @@ impl TddManager {
 
     /// Clears the computed tables (add/cont memoization) but keeps nodes
     /// and weights. Used to model the paper's "Ori." (no shared computed
-    /// table) configuration and after GC.
+    /// table) configuration and at weight-scope boundaries.
     pub fn clear_computed_tables(&mut self) {
         self.add_cache.clear();
         self.cont_cache.clear();
@@ -900,8 +844,8 @@ impl TddManager {
     }
 
     /// A copy of this manager's `cont` computed table, for shipping to
-    /// another worker on the *same shared store* (handles are not
-    /// portable between private stores).
+    /// another worker on the *same store* (handles are not portable
+    /// between stores).
     pub fn snapshot_cont_cache(&self) -> FxHashMap<ContCacheKey, Edge> {
         self.cont_cache.clone()
     }
@@ -916,15 +860,9 @@ impl TddManager {
     /// the entries must be valid here.
     pub fn seed_cont_cache(&mut self, entries: &FxHashMap<ContCacheKey, Edge>) {
         debug_assert!(
-            matches!(
-                &self.store,
-                TddStore::Shared {
-                    interning: SharedInterning::Canonical { .. },
-                    ..
-                }
-            ),
+            matches!(self.interning, Interning::Canonical { .. }),
             "cont-cache seeding requires globally-pure (canonical) interning \
-             on a shared store — scoped entries embed scope-local ids"
+             — scoped entries embed scope-local ids"
         );
         for (&key, &result) in entries {
             if let std::collections::hash_map::Entry::Vacant(slot) = self.cont_cache.entry(key) {
@@ -942,25 +880,11 @@ impl TddManager {
     /// workers).
     pub fn intern_elim_set(&mut self, levels: Vec<u32>) -> u32 {
         debug_assert!(levels.windows(2).all(|w| w[0] < w[1]), "levels not sorted");
-        match &self.store {
-            TddStore::Shared { store, .. } => store.intern_elim_set(levels),
-            TddStore::Private(_) => {
-                if let Some(&id) = self.elim_set_ids.get(&levels) {
-                    return id;
-                }
-                let id = self.elim_sets.len() as u32;
-                self.elim_sets.push(levels.clone());
-                self.elim_set_ids.insert(levels, id);
-                id
-            }
-        }
+        self.store.intern_elim_set(levels)
     }
 
     pub(crate) fn elim_set(&self, id: u32) -> &[u32] {
-        match &self.store {
-            TddStore::Private(_) => &self.elim_sets[id as usize],
-            TddStore::Shared { store, .. } => store.elim_set(id),
-        }
+        self.store.elim_set(id)
     }
 }
 
@@ -1017,7 +941,7 @@ mod tests {
         let e2 = m.make_node(0, a0, a1);
         assert_eq!(e1, e2);
         assert_eq!(m.arena_len(), 1);
-        assert_eq!(m.stats().unique_hits, 1);
+        assert_eq!(m.store().stats().unique_hits, 1);
     }
 
     #[test]
@@ -1096,9 +1020,10 @@ mod tests {
         let l = m.terminal(C64::real(1.0));
         let h = m.terminal(C64::real(2.0));
         let _ = m.make_node(0, l, h);
-        assert_eq!(m.stats().nodes_created, 1);
-        assert_eq!(m.stats().peak_nodes, 1);
-        let text = m.stats().to_string();
+        let stats = m.store().stats();
+        assert_eq!(stats.nodes_created, 1);
+        assert_eq!(stats.peak_nodes, 1);
+        let text = stats.to_string();
         assert!(text.contains("nodes created 1"));
         assert!(text.contains("gc runs 0"));
     }

@@ -1,35 +1,48 @@
-//! The shared concurrent TDD store: a lock-striped unique table plus a
-//! sharded, canonically-snapping weight-interning table over per-stripe
-//! append-only arenas.
+//! The TDD node store: a lock-striped unique table plus sharded weight
+//! and elimination-set interning over per-stripe append-only arenas.
 //!
-//! A [`SharedTddStore`] lets several [`crate::TddManager`]s — one per
-//! worker thread — hash-cons nodes and intern weights into *one* set of
-//! tables, so common sub-diagrams built by different workers are stored
-//! once and cross-thread `NodeId`/`WeightId` handles stay valid
-//! everywhere. Four design rules make this safe and fast:
+//! Every [`crate::TddManager`] sits on a [`SharedTddStore`]. Several
+//! managers — one per worker thread — can hash-cons nodes and intern
+//! weights into *one* set of tables, so common sub-diagrams built by
+//! different workers are stored once and `NodeId`/`WeightId` handles
+//! stay valid everywhere. A one-worker run gets a store of its own.
+//!
+//! **Stripe count.** It is fixed at construction from the number of
+//! workers that will use the store ([`SharedTddStore::for_workers`]):
+//! [`STRIPES`] for more than one worker, a single stripe for one. The
+//! per-stripe probe table (32 KiB) and arena shards are a fixed
+//! footprint, so a one-worker store carries 1/64 of it, and its single
+//! lock is never contended by a second worker. Ids pack `(shard,
+//! index)` into a `u32` with only as many shard bits as the store needs,
+//! so a one-stripe store's single shard holds 2^31 entries (a 64-stripe
+//! store's shards 2^25 each); a full shard panics rather than alias.
+//! (Two managers can still meet on a one-stripe store — a service may
+//! run two queries at once on a one-worker session — and the protocols
+//! below hold for any stripe count.) [`SharedTddStore::successor`] and
+//! [`SharedTddStore::compact`] inherit the count.
+//!
+//! Five design rules make the store safe and fast:
 //!
 //! * **Append-only arenas.** Nodes, weights and elimination sets live in
 //!   append-only arenas that never move or free entries, so `node(id)` and
-//!   `weight_value(id)` are lock-free reads from any thread. *In-place*
-//!   compacting garbage collection is therefore impossible while a store
-//!   is shared; [`crate::gc::collect`] degrades to a documented no-op.
-//!   Long sessions reclaim memory by **epoch-based store swapping**
-//!   instead: once every attached manager announces quiescence (a
-//!   sweep-point boundary, or a plan-step barrier in a single-worker
-//!   run), the session swaps in [`SharedTddStore::successor`] (no live
-//!   roots) or [`SharedTddStore::compact`] (live roots migrated
-//!   bit-exactly) and drops the retired store, freeing every
-//!   unreachable chunk at once.
+//!   `weight_value(id)` are lock-free reads from any thread. Nothing is
+//!   collected in place. Long sessions reclaim memory by **epoch-based
+//!   store swapping** instead: once every attached manager announces
+//!   quiescence (a sweep-point boundary, or a plan-step barrier in a
+//!   single-worker run), the session swaps in
+//!   [`SharedTddStore::successor`] (no live roots) or
+//!   [`SharedTddStore::compact`] (live roots migrated bit-exactly) and
+//!   drops the retired store, freeing every unreachable chunk at once.
 //! * **Lock striping, with a lock-free hit path.** Find-or-insert goes
-//!   through one of [`STRIPES`] mutex-guarded hash-map shards selected
+//!   through one of the store's mutex-guarded hash-map shards selected
 //!   by the key's hash (nodes) or quantised bucket (weights). In front
 //!   of each node stripe sits a fixed-size probe table of single-word
 //!   atomic slots: the dominant case — a lookup that *hits* — verifies
 //!   its candidate against the immutable arena entry and returns
 //!   without ever taking the stripe mutex, which only insertions and
 //!   probe misses touch. Managers additionally keep a private weight
-//!   lookaside keyed on the canonical grid cell, so repeated arithmetic
-//!   results skip the weight stripes entirely.
+//!   lookaside, so repeated arithmetic results skip the weight stripes
+//!   entirely.
 //! * **No global hot lines.** Each stripe owns its *own* arena shard —
 //!   an id is `(stripe, index)` packed into a `u32` — so allocation
 //!   happens under the stripe lock the inserter already holds, and
@@ -38,32 +51,31 @@
 //!   cache line on — reads only check their own shard's length, written
 //!   solely by that stripe's insertions; independent sub-contractions
 //!   scale because they touch disjoint stripes most of the time.
-//! * **Value-pure interning, two families.** The private
-//!   [`crate::WeightTable`] merges values *first-come-first-served*
-//!   within a tolerance, which makes the stored representative depend on
-//!   insertion order — harmless sequentially, but racy across threads.
-//!   The shared store offers two schedule-independent families instead:
+//! * **Value-pure interning, two store families.** The store offers two
+//!   schedule-independent ways to turn a value into an id:
 //!
 //!   1. **Canonical grid snapping** (`SharedTddStore::intern_weight`): every
 //!      value rounds to the centre of a fine sub-tolerance grid cell, a
 //!      pure function of the value alone, *globally* — which is what
-//!      lets Algorithm I's term engine share computed-table entries (and
-//!      cont-cache seeds) across trace terms and worker threads.
+//!      lets multi-worker Algorithm I's term engine share computed-table
+//!      entries (and cont-cache seeds) across trace terms and workers.
 //!   2. **Exact-bits interning** (`SharedTddStore::intern_weight_exact`): the
 //!      bit pattern is the key and the stored value. Gluing of
-//!      almost-equal values is layered on top by the *managers*, inside
-//!      per-operation scopes (see `TddManager::set_scoped_interning`):
-//!      the plan drivers use it because grid snapping fragments
-//!      cancellation-heavy Algorithm II workloads into several times the
-//!      private driver's distinct weights (and nodes), while scope-local
-//!      first-seen gluing reproduces the private table's compaction and
-//!      is still a pure function of each operation's operand values.
+//!      almost-equal values is layered on top by the *managers*, in
+//!      first-seen tolerance scopes: one per plan step for the plan
+//!      drivers (grid snapping fragments cancellation-heavy Algorithm II
+//!      workloads into several times the distinct weights and nodes), or
+//!      one for a manager's whole life in one-worker runs. Either way a
+//!      scope is a pure function of the values it sees.
 //!
 //!   Either way every arithmetic result is identical whatever the thread
-//!   interleaving, which is what makes shared-store parallel runs
-//!   **bit-identical** to sequential ones. (Ids themselves are
-//!   scheduling-dependent — which stripe index a node lands on depends
-//!   on who inserts first — but no value ever depends on an id.)
+//!   interleaving, which is what makes parallel runs **bit-identical**
+//!   across worker counts. (Ids themselves are scheduling-dependent —
+//!   which stripe index a node lands on depends on who inserts first —
+//!   but no value ever depends on an id.)
+//! * **Store-owned counters.** Allocation and unique-table counters live
+//!   in the store ([`SharedTddStore::stats`]), never in a manager, so a
+//!   report merges them exactly once however many managers ran.
 
 use crate::fxhash::{self, FxHashMap};
 use crate::manager::{Edge, Node, NodeId, TddStats, TERMINAL_VAR};
@@ -77,46 +89,59 @@ use std::sync::{Arc, OnceLock};
 use crate::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::Mutex;
 
-/// Number of mutex stripes in each concurrent table. A power of two so
+/// Number of mutex stripes in each concurrent table of a store serving
+/// more than one worker (a one-worker store has one). A power of two so
 /// stripe selection is a mask.
 pub const STRIPES: usize = 64;
 
-/// Bits of a packed id holding the in-shard index; the remaining high
-/// bits carry the shard. 2^25 ≈ 33.5M entries per shard, far beyond the
-/// paper's workloads (the whole Table I set peaks in the low millions).
-const INDEX_BITS: u32 = 25;
-/// Mask extracting the in-shard index.
-const INDEX_MASK: u32 = (1 << INDEX_BITS) - 1;
-/// The extra weight shard used for exact-bits "huge" values (guarded by
-/// its own map mutex rather than a grid stripe).
-const HUGE_SHARD: usize = STRIPES;
+/// Bits of a packed id holding the in-shard index for a store of
+/// `stripes` stripes: the high bits carry the shard — one of the
+/// `stripes` stripe shards or the extra huge-weight shard (index
+/// `stripes`) — and every remaining bit indexes. A [`STRIPES`]-stripe
+/// store takes 7 shard bits (2^25 ≈ 33.5M entries per shard, 64 node
+/// shards); a one-stripe store takes 1, leaving 2^31 entries in its
+/// single node shard for a one-worker run.
+const fn index_bits(stripes: usize) -> u32 {
+    (stripes as u32).leading_zeros()
+}
 
-/// log2 of the per-stripe probe-table size. 4096 slots × 8 B × 64
-/// stripes = 2 MiB per store — a fixed cache overhead, deliberately
-/// *excluded* from [`SharedTddStore::bytes_used`] (it neither grows with
-/// the workload nor is reclaimed before the store drops).
+/// log2 of the per-stripe probe-table size. 4096 slots × 8 B = 32 KiB
+/// per stripe (2 MiB for a [`STRIPES`]-stripe store) — a fixed cache
+/// overhead, deliberately *excluded* from [`SharedTddStore::bytes_used`]
+/// (it neither grows with the workload nor is reclaimed before the store
+/// drops).
 const PROBE_BITS: u32 = 12;
 /// Slots in each stripe's lock-free probe table.
 const PROBE_SLOTS: usize = 1 << PROBE_BITS;
 
-/// Packs a `(shard, index)` pair into an id.
+/// Packs a `(shard, index)` pair into an id whose low `bits` bits hold
+/// the index.
+///
+/// # Panics
+///
+/// Panics if `index` does not fit in `bits` bits: the shard is full, and
+/// an id past it would alias the next shard's entries.
 #[inline]
-fn encode(shard: usize, index: usize) -> u32 {
-    debug_assert!(index <= INDEX_MASK as usize, "arena shard full");
-    ((shard as u32) << INDEX_BITS) | index as u32
+fn encode(bits: u32, shard: usize, index: usize) -> u32 {
+    assert!(
+        index >> bits == 0,
+        "arena shard {shard} full at 2^{bits} entries"
+    );
+    ((shard as u32) << bits) | index as u32
 }
 
-/// Unpacks an id into its `(shard, index)` pair.
+/// Unpacks an id packed with `bits` index bits into its `(shard, index)`
+/// pair.
 #[inline]
-fn decode(id: u32) -> (usize, usize) {
-    ((id >> INDEX_BITS) as usize, (id & INDEX_MASK) as usize)
+fn decode(bits: u32, id: u32) -> (usize, usize) {
+    ((id >> bits) as usize, (id & ((1 << bits) - 1)) as usize)
 }
 
 /// log2 of the first arena chunk's capacity.
 const FIRST_BITS: u32 = 10;
-/// Spine length: chunk sizes double (1024, 1024, 2048, …), so 16 chunks
-/// cover the full 2^25 per-shard index space.
-const SPINE: usize = 16;
+/// Spine length: chunk sizes double (1024, 1024, 2048, …), so 22 chunks
+/// cover the largest per-shard index space (2^31, a one-stripe store).
+const SPINE: usize = 22;
 
 /// One lazily-allocated chunk of arena slots.
 type Chunk<T> = Box<[UnsafeCell<MaybeUninit<T>>]>;
@@ -246,13 +271,6 @@ impl<T> Drop for AppendArena<T> {
     }
 }
 
-/// Computes the stripe for a hashable key (Fx-hashed: these tables see
-/// no attacker-controlled data and live on the hot path).
-#[inline]
-fn stripe_of<K: Hash>(key: &K) -> usize {
-    (fxhash::hash_one(key) as usize) & (STRIPES - 1)
-}
-
 /// A statistics fence over a [`SharedTddStore`], taken between two runs
 /// that share one warm store (see
 /// [`SharedTddStore::reset_between_runs`]). Holds the allocation and
@@ -320,12 +338,12 @@ impl NodeStripe {
     }
 
     /// The probe slot and tag for a key hash. The slot skips the low
-    /// [`STRIPES`] bits (they are constant within a stripe) and the tag
-    /// takes the high 32, so slot and tag are nearly independent.
+    /// `stripe_bits` bits (they are constant within a stripe) and the
+    /// tag takes the high 32, so slot and tag are nearly independent.
     #[inline]
-    fn probe_coords(hash: u64) -> (usize, u32) {
+    fn probe_coords(hash: u64, stripe_bits: u32) -> (usize, u32) {
         (
-            ((hash >> STRIPES.trailing_zeros()) as usize) & (PROBE_SLOTS - 1),
+            ((hash >> stripe_bits) as usize) & (PROBE_SLOTS - 1),
             (hash >> 32) as u32,
         )
     }
@@ -337,13 +355,14 @@ impl NodeStripe {
     }
 }
 
-/// The concurrent node + weight + elimination-set store shared by the
-/// worker managers of one parallel run.
+/// The concurrent node + weight + elimination-set store of one run,
+/// shared by its worker managers.
 ///
-/// Create one per run with [`SharedTddStore::new`] (or
-/// [`SharedTddStore::with_tolerance`]) and hand clones of the `Arc` to
-/// [`crate::TddManager::new_shared`]. All handles minted by any attached
-/// manager are valid in every other attached manager.
+/// Create one per run with [`SharedTddStore::for_workers`] (or
+/// [`SharedTddStore::new`] / [`SharedTddStore::with_tolerance`]) and hand
+/// clones of the `Arc` to [`crate::TddManager::new_shared`]. All handles
+/// minted by any attached manager are valid in every other attached
+/// manager.
 ///
 /// # Example
 ///
@@ -372,7 +391,7 @@ impl NodeStripe {
 pub struct SharedTddStore {
     tol: f64,
     /// Canonical snapping grid width. Deliberately finer than the
-    /// private merging radius (`tol`): first-come-first-served merging
+    /// scoped gluing radius (`tol`): first-come-first-served gluing
     /// only perturbs *colliding* values, while snapping perturbs every
     /// intern, so the cell is shrunk to `tol / 32` to keep cumulative
     /// drift inside even the checker's tightest 1e-10 accuracy targets —
@@ -383,11 +402,15 @@ pub struct SharedTddStore {
     /// tolerance grid is meaningless out there and its `i64` key would
     /// saturate).
     huge: f64,
+    /// Stripe count (a power of two), fixed at construction.
+    stripes: usize,
+    /// Index bits of this store's packed ids (see [`index_bits`]).
+    index_bits: u32,
     /// One node arena shard per stripe, pushed under that stripe's lock.
     nodes: Vec<AppendArena<NodeEntry>>,
     node_stripes: Vec<NodeStripe>,
-    /// One weight arena shard per stripe plus [`HUGE_SHARD`] for
-    /// exact-bits values.
+    /// One weight arena shard per stripe plus one more (index
+    /// `stripes`, see [`Self::huge_shard`]) for exact-bits huge values.
     weights: Vec<AppendArena<C64>>,
     weight_stripes: Vec<Mutex<FxHashMap<(i64, i64), WeightId>>>,
     huge_weights: Mutex<FxHashMap<(u64, u64), WeightId>>,
@@ -424,30 +447,41 @@ impl std::fmt::Debug for SharedTddStore {
 }
 
 impl SharedTddStore {
-    /// A shared store with the default weight tolerance (`1e-10`),
-    /// matching [`crate::TddManager::new`].
+    /// A store for several workers ([`STRIPES`] stripes) with the
+    /// default weight tolerance (`1e-10`), matching
+    /// [`crate::TddManager::new`].
     pub fn new() -> Arc<Self> {
-        Self::with_tolerance(1e-10)
+        Self::for_workers(STRIPES)
     }
 
-    /// A shared store with a custom weight tolerance.
+    /// A store sized for `workers` workers with the default weight
+    /// tolerance: one stripe for one worker, [`STRIPES`] otherwise.
+    pub fn for_workers(workers: usize) -> Arc<Self> {
+        Self::with_tolerance(1e-10, workers)
+    }
+
+    /// A store sized for `workers` workers with a custom weight
+    /// tolerance.
     ///
     /// # Panics
     ///
     /// Panics if `tol` is not strictly positive and finite.
-    pub fn with_tolerance(tol: f64) -> Arc<Self> {
+    pub fn with_tolerance(tol: f64, workers: usize) -> Arc<Self> {
         assert!(tol > 0.0 && tol.is_finite(), "tolerance must be positive");
-        Self::build(tol, StoreEpoch::default(), 0, 0)
+        let stripes = if workers > 1 { STRIPES } else { 1 };
+        Self::build(tol, stripes, StoreEpoch::default(), 0, 0)
     }
 
     /// The shared constructor: a fresh store carrying `base` counter
     /// offsets from a retired predecessor (all zero for a first store).
     fn build(
         tol: f64,
+        stripes: usize,
         base: StoreEpoch,
         base_peak_nodes: usize,
         peak_bytes_seed: usize,
     ) -> Arc<Self> {
+        debug_assert!(stripes.is_power_of_two() && stripes <= STRIPES);
         let grid = tol / 32.0;
         let store = SharedTddStore {
             tol,
@@ -455,14 +489,16 @@ impl SharedTddStore {
             // Past this the grid key `round(x / grid)` nears `i64`
             // saturation and f64 precision; see `intern_weight`.
             huge: 0.5 * (i64::MAX as f64) * grid,
-            nodes: (0..STRIPES).map(|_| AppendArena::new()).collect(),
-            node_stripes: (0..STRIPES).map(|_| NodeStripe::new()).collect(),
-            weights: (0..=STRIPES).map(|_| AppendArena::new()).collect(),
-            weight_stripes: (0..STRIPES)
+            stripes,
+            index_bits: index_bits(stripes),
+            nodes: (0..stripes).map(|_| AppendArena::new()).collect(),
+            node_stripes: (0..stripes).map(|_| NodeStripe::new()).collect(),
+            weights: (0..=stripes).map(|_| AppendArena::new()).collect(),
+            weight_stripes: (0..stripes)
                 .map(|_| Mutex::new(FxHashMap::default()))
                 .collect(),
             huge_weights: Mutex::new(FxHashMap::default()),
-            exact_stripes: (0..STRIPES)
+            exact_stripes: (0..stripes)
                 .map(|_| Mutex::new(FxHashMap::default()))
                 .collect(),
             elim_sets: AppendArena::new(),
@@ -472,8 +508,8 @@ impl SharedTddStore {
             base_peak_nodes,
             peak_bytes: AtomicUsize::new(peak_bytes_seed),
         };
-        // Shard 0, slot 0: the terminal sentinel — id 0, as in the
-        // private arena.
+        // Shard 0, slot 0: the terminal sentinel — id 0, so
+        // `NodeId::TERMINAL` is valid in every store.
         store.nodes[0].push(NodeEntry {
             node: Node {
                 var: TERMINAL_VAR,
@@ -489,12 +525,12 @@ impl SharedTddStore {
         store.weights[0].push(C64::ZERO);
         store.weights[0].push(C64::ONE);
         let one_key = store.grid_key(C64::ONE);
-        store.weight_stripes[stripe_of(&one_key)]
+        store.weight_stripes[store.stripe_of(&one_key)]
             .lock()
             .expect("weight stripe poisoned")
             .insert(one_key, WeightId::ONE);
         let one_bits = (C64::ONE.re.to_bits(), C64::ONE.im.to_bits());
-        store.exact_stripes[stripe_of(&one_bits)]
+        store.exact_stripes[store.stripe_of(&one_bits)]
             .lock()
             .expect("exact weight stripe poisoned")
             .insert(one_bits, WeightId::ONE);
@@ -504,6 +540,36 @@ impl SharedTddStore {
     /// The weight-interning tolerance.
     pub fn tolerance(&self) -> f64 {
         self.tol
+    }
+
+    /// Computes the stripe for a hashable key (Fx-hashed: these tables
+    /// see no attacker-controlled data and live on the hot path).
+    #[inline]
+    fn stripe_of<K: Hash>(&self, key: &K) -> usize {
+        (fxhash::hash_one(key) as usize) & (self.stripes - 1)
+    }
+
+    /// The extra weight shard used for exact-bits "huge" values (guarded
+    /// by its own map mutex rather than a grid stripe).
+    #[inline]
+    fn huge_shard(&self) -> usize {
+        self.stripes
+    }
+
+    /// Packs a `(shard, index)` pair into one of this store's ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shard is full (see [`encode`]).
+    #[inline]
+    fn encode(&self, shard: usize, index: usize) -> u32 {
+        encode(self.index_bits, shard, index)
+    }
+
+    /// Unpacks one of this store's ids into its `(shard, index)` pair.
+    #[inline]
+    fn decode(&self, id: u32) -> (usize, usize) {
+        decode(self.index_bits, id)
     }
 
     /// Registers a new worker and returns its id (used to attribute
@@ -738,7 +804,7 @@ impl SharedTddStore {
     /// arithmetic result, a manager lookaside miss, or an exact
     /// migration during reclamation — produce bit-identical values.
     pub(crate) fn intern_weight_cell(&self, key: (i64, i64)) -> WeightId {
-        let shard = stripe_of(&key);
+        let shard = self.stripe_of(&key);
         let mut stripe = self.weight_stripes[shard]
             .lock()
             .expect("weight stripe poisoned");
@@ -747,7 +813,7 @@ impl SharedTddStore {
         }
         let w = self.grid;
         let snapped = C64::new(key.0 as f64 * w, key.1 as f64 * w);
-        let id = WeightId(encode(shard, self.weights[shard].push(snapped)));
+        let id = WeightId(self.encode(shard, self.weights[shard].push(snapped)));
         stripe.insert(key, id);
         id
     }
@@ -760,7 +826,8 @@ impl SharedTddStore {
         if let Some(&id) = map.get(&key) {
             return id;
         }
-        let id = WeightId(encode(HUGE_SHARD, self.weights[HUGE_SHARD].push(z)));
+        let shard = self.huge_shard();
+        let id = WeightId(self.encode(shard, self.weights[shard].push(z)));
         map.insert(key, id);
         id
     }
@@ -773,14 +840,14 @@ impl SharedTddStore {
     /// per-operation scope, never in the store.
     pub(crate) fn intern_weight_exact(&self, z: C64) -> WeightId {
         let key = (z.re.to_bits(), z.im.to_bits());
-        let shard = stripe_of(&key);
+        let shard = self.stripe_of(&key);
         let mut stripe = self.exact_stripes[shard]
             .lock()
             .expect("exact weight stripe poisoned");
         if let Some(&id) = stripe.get(&key) {
             return id;
         }
-        let id = WeightId(encode(shard, self.weights[shard].push(z)));
+        let id = WeightId(self.encode(shard, self.weights[shard].push(z)));
         stripe.insert(key, id);
         id
     }
@@ -788,7 +855,7 @@ impl SharedTddStore {
     /// The value behind a weight handle (lock-free).
     #[inline]
     pub(crate) fn weight_value(&self, w: WeightId) -> C64 {
-        let (shard, index) = decode(w.0);
+        let (shard, index) = self.decode(w.0);
         *self.weights[shard].get(index)
     }
 
@@ -806,16 +873,16 @@ impl SharedTddStore {
     /// fully-written arena entry.
     pub(crate) fn unique_node(&self, key: Node, worker: u32) -> NodeId {
         let hash = fxhash::hash_one(&key);
-        let shard = (hash as usize) & (STRIPES - 1);
+        let shard = (hash as usize) & (self.stripes - 1);
         let stripe = &self.node_stripes[shard];
-        let (slot, tag) = NodeStripe::probe_coords(hash);
+        let (slot, tag) = NodeStripe::probe_coords(hash, self.stripes.trailing_zeros());
         // ordering: Acquire pairs with the Release publication below — a
         // non-zero slot implies the publisher's arena push (and its release
         // of `len`) happened-before, so `get` below cannot miss the entry.
         let seen = stripe.probe[slot].load(Ordering::Acquire);
         if seen != 0 && (seen >> 32) as u32 == tag {
             let id = NodeId(seen as u32);
-            let (s, index) = decode(id.0);
+            let (s, index) = self.decode(id.0);
             let entry = self.nodes[s].get(index);
             if entry.node == key {
                 // ordering: Relaxed — statistics counters; nothing reads
@@ -833,7 +900,7 @@ impl SharedTddStore {
             Some(&id) => {
                 // ordering: Relaxed — statistics counters (see fast path).
                 stripe.hits.fetch_add(1, Ordering::Relaxed);
-                let (s, index) = decode(id.0);
+                let (s, index) = self.decode(id.0);
                 if self.nodes[s].get(index).creator != worker {
                     // ordering: Relaxed — statistics counter.
                     stripe.cross_hits.fetch_add(1, Ordering::Relaxed);
@@ -845,7 +912,7 @@ impl SharedTddStore {
                 id
             }
             None => {
-                let id = NodeId(encode(
+                let id = NodeId(self.encode(
                     shard,
                     self.nodes[shard].push(NodeEntry {
                         node: key,
@@ -865,7 +932,7 @@ impl SharedTddStore {
     /// The node behind an id (lock-free).
     #[inline]
     pub(crate) fn node(&self, n: NodeId) -> Node {
-        let (shard, index) = decode(n.0);
+        let (shard, index) = self.decode(n.0);
         self.nodes[shard].get(index).node
     }
 
@@ -902,6 +969,7 @@ impl SharedTddStore {
         let totals = self.reset_between_runs();
         Self::build(
             self.tol,
+            self.stripes,
             totals,
             self.base_peak_nodes.max(self.arena_len()),
             self.peak_bytes_used(),
@@ -971,6 +1039,7 @@ impl SharedTddStore {
         };
         let next = Self::build(
             self.tol,
+            self.stripes,
             base,
             self.base_peak_nodes.max(self.arena_len()),
             self.peak_bytes_used(),
@@ -1050,7 +1119,7 @@ impl SharedTddStore {
         let low = self.migrate_edge(next, old.low, grid_keys, exact_ids, weight_map, node_map);
         let high = self.migrate_edge(next, old.high, grid_keys, exact_ids, weight_map, node_map);
         let creator = {
-            let (shard, index) = decode(id.0);
+            let (shard, index) = self.decode(id.0);
             self.nodes[shard].get(index).creator
         };
         let mapped = next.unique_node(
@@ -1072,17 +1141,35 @@ mod tests {
 
     #[test]
     fn id_encoding_round_trips() {
-        for (shard, index) in [
-            (0usize, 0usize),
-            (0, 1),
-            (63, 5),
-            (HUGE_SHARD, 7),
-            (17, 12345),
-        ] {
-            assert_eq!(decode(encode(shard, index)), (shard, index));
+        for stripes in [1, STRIPES] {
+            let bits = index_bits(stripes);
+            let last = (1usize << bits) - 1;
+            for (shard, index) in [
+                (0, 0),
+                (0, 1),
+                (0, last),
+                (stripes - 1, 5),
+                (stripes, 7),
+                (stripes, last),
+            ] {
+                assert_eq!(decode(bits, encode(bits, shard, index)), (shard, index));
+            }
+            assert_eq!(encode(bits, 0, 0), 0, "terminal/zero must stay id 0");
+            assert_eq!(encode(bits, 0, 1), 1, "the unit weight must stay id 1");
         }
-        assert_eq!(encode(0, 0), 0, "terminal/zero must stay id 0");
-        assert_eq!(encode(0, 1), 1, "the unit weight must stay id 1");
+        // A one-stripe store keeps 31 index bits (the whole `u32` id space
+        // minus the huge-weight shard bit); a 64-stripe store keeps 25.
+        assert_eq!(index_bits(1), 31);
+        assert_eq!(index_bits(STRIPES), 25);
+    }
+
+    #[test]
+    #[should_panic(expected = "full")]
+    fn id_encoding_refuses_a_full_shard() {
+        // One past the last index would alias the huge-weight shard's
+        // first entry; the check must fire in release builds too.
+        let bits = index_bits(1);
+        encode(bits, 0, 1usize << bits);
     }
 
     #[test]
@@ -1094,8 +1181,8 @@ mod tests {
         assert_eq!(locate(3072), (2, 0));
         assert_eq!(locate(7167), (2, 4095));
         assert_eq!(locate(7168), (3, 0));
-        // The spine covers the whole per-shard index space.
-        let (chunk, _) = locate(INDEX_MASK as usize);
+        // The spine covers the largest per-shard index space.
+        let (chunk, _) = locate((1usize << index_bits(1)) - 1);
         assert!(chunk < SPINE);
     }
 
@@ -1521,6 +1608,42 @@ mod tests {
             remapped[0].weight,
             "the migrated root weight is the canonical cell entry"
         );
+    }
+
+    #[test]
+    fn stripe_count_follows_the_worker_count() {
+        assert_eq!(SharedTddStore::for_workers(0).stripes, 1);
+        assert_eq!(SharedTddStore::for_workers(1).stripes, 1);
+        assert_eq!(SharedTddStore::for_workers(2).stripes, STRIPES);
+        assert_eq!(SharedTddStore::new().stripes, STRIPES);
+        assert_eq!(SharedTddStore::for_workers(1).index_bits, 31);
+        assert_eq!(SharedTddStore::new().index_bits, 25);
+
+        // A one-stripe store runs every protocol the wide one does, and
+        // its successors keep the count.
+        let store = SharedTddStore::for_workers(1);
+        let w = store.register_worker();
+        let root = sample_root(&store, w);
+        assert_eq!(sample_root(&store, w), root, "re-find hits");
+        let big = C64::new(4.25e12, 1.0);
+        let huge_root = Edge {
+            node: NodeId::TERMINAL,
+            weight: store.intern_weight(big),
+        };
+        let exact = store.intern_weight_exact(C64::new(0.1 + 0.2, -0.3));
+        assert_eq!(store.stats().nodes_created, 2);
+        assert_eq!(store.stats().unique_hits, 2);
+
+        let (next, remapped) = store.compact(&[root, huge_root]);
+        assert_eq!(next.stripes, 1);
+        assert_eq!(store.successor().stripes, 1);
+        let mut old_print = Vec::new();
+        let mut new_print = Vec::new();
+        fingerprint(&store, root, &mut old_print);
+        fingerprint(&next, remapped[0], &mut new_print);
+        assert_eq!(old_print, new_print, "values migrate bit-exactly");
+        assert_eq!(next.weight_value(remapped[1].weight), big);
+        assert_ne!(exact, WeightId::ONE);
     }
 
     #[test]

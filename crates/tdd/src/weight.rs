@@ -1,16 +1,27 @@
-//! Tolerance-canonical interning of complex edge weights.
+//! Handles to interned complex edge weights.
 //!
 //! Decision-diagram canonicity requires that "the same" weight always maps
 //! to the same identity, even after different round-off histories. The
-//! [`WeightTable`] interns complex values with an absolute tolerance:
-//! values within `tol` (Chebyshev distance) of an already-interned value
-//! reuse its [`WeightId`]. Edges then carry a `u32` handle, making
-//! unique-table and computed-table keys exact and cheap to hash.
-
-use crate::fxhash::FxHashMap;
-use qaec_math::C64;
+//! store interns values ([`crate::SharedTddStore`]) and each manager
+//! glues or snaps them within the tolerance first (see
+//! [`crate::manager`]'s interning families). Edges then carry a `u32`
+//! [`WeightId`], making unique-table and computed-table keys exact and
+//! cheap to hash.
 
 /// Handle to an interned complex weight.
+///
+/// # Example
+///
+/// ```
+/// use qaec_math::C64;
+/// use qaec_tdd::{TddManager, WeightId};
+///
+/// let mut m = TddManager::new();
+/// let a = m.intern_weight(C64::new(0.5, 0.0));
+/// let b = m.intern_weight(C64::new(0.5 + 1e-12, -1e-13));
+/// assert_eq!(a, b); // merged within tolerance
+/// assert_eq!(m.intern_weight(C64::ONE), WeightId::ONE);
+/// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WeightId(pub(crate) u32);
 
@@ -33,277 +44,103 @@ impl WeightId {
     }
 }
 
-/// Interning table for complex weights.
-///
-/// # Example
-///
-/// ```
-/// use qaec_math::C64;
-/// use qaec_tdd::weight::{WeightId, WeightTable};
-///
-/// let mut table = WeightTable::new(1e-10);
-/// let a = table.intern(C64::new(0.5, 0.0));
-/// let b = table.intern(C64::new(0.5 + 1e-12, -1e-13));
-/// assert_eq!(a, b); // merged within tolerance
-/// assert_eq!(table.intern(C64::ONE), WeightId::ONE);
-/// ```
-#[derive(Clone, Debug)]
-pub struct WeightTable {
-    values: Vec<C64>,
-    buckets: FxHashMap<(i64, i64), Vec<u32>>,
-    tol: f64,
-}
-
-impl WeightTable {
-    /// Creates a table with the given absolute tolerance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tol` is not strictly positive and finite.
-    pub fn new(tol: f64) -> Self {
-        assert!(tol > 0.0 && tol.is_finite(), "tolerance must be positive");
-        let mut table = WeightTable {
-            values: Vec::new(),
-            buckets: FxHashMap::default(),
-            tol,
-        };
-        let zero = table.intern_raw(C64::ZERO);
-        let one = table.intern_raw(C64::ONE);
-        debug_assert_eq!(zero, WeightId::ZERO);
-        debug_assert_eq!(one, WeightId::ONE);
-        table
-    }
-
-    /// The interning tolerance.
-    pub fn tolerance(&self) -> f64 {
-        self.tol
-    }
-
-    /// Number of distinct interned values.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the table is empty (never true after construction).
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The value behind a handle.
-    #[inline]
-    pub fn value(&self, w: WeightId) -> C64 {
-        self.values[w.0 as usize]
-    }
-
-    fn bucket_key(&self, z: C64) -> (i64, i64) {
-        // Bucket width is 2·tol so a probe of the 3×3 neighbourhood covers
-        // every value within tol.
-        let w = 2.0 * self.tol;
-        ((z.re / w).round() as i64, (z.im / w).round() as i64)
-    }
-
-    /// Interns a value, merging with an existing one within tolerance.
-    pub fn intern(&mut self, z: C64) -> WeightId {
-        debug_assert!(z.is_finite(), "non-finite weight {z}");
-        // Snap near-zero to the canonical zero.
-        if z.re.abs() <= self.tol && z.im.abs() <= self.tol {
-            return WeightId::ZERO;
-        }
-        self.intern_raw(z)
-    }
-
-    fn intern_raw(&mut self, z: C64) -> WeightId {
-        let (kr, ki) = self.bucket_key(z);
-        for dr in -1..=1i64 {
-            for di in -1..=1i64 {
-                // The bucket key saturates at i64::MAX/MIN for huge values
-                // (the `as i64` cast clamps), so the probe must saturate too.
-                if let Some(ids) = self
-                    .buckets
-                    .get(&(kr.saturating_add(dr), ki.saturating_add(di)))
-                {
-                    for &id in ids {
-                        let v = self.values[id as usize];
-                        if (v.re - z.re).abs() <= self.tol && (v.im - z.im).abs() <= self.tol {
-                            return WeightId(id);
-                        }
-                    }
-                }
-            }
-        }
-        let id = self.values.len() as u32;
-        self.values.push(z);
-        self.buckets.entry((kr, ki)).or_default().push(id);
-        WeightId(id)
-    }
-
-    /// Interned product `a·b`.
-    pub fn mul(&mut self, a: WeightId, b: WeightId) -> WeightId {
-        if a.is_zero() || b.is_zero() {
-            return WeightId::ZERO;
-        }
-        if a.is_one() {
-            return b;
-        }
-        if b.is_one() {
-            return a;
-        }
-        let z = self.value(a) * self.value(b);
-        self.intern(z)
-    }
-
-    /// Interned sum `a + b`.
-    pub fn add(&mut self, a: WeightId, b: WeightId) -> WeightId {
-        if a.is_zero() {
-            return b;
-        }
-        if b.is_zero() {
-            return a;
-        }
-        let z = self.value(a) + self.value(b);
-        self.intern(z)
-    }
-
-    /// Interned quotient `a / b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` is the zero weight.
-    pub fn div(&mut self, a: WeightId, b: WeightId) -> WeightId {
-        assert!(!b.is_zero(), "division by the zero weight");
-        if a.is_zero() {
-            return WeightId::ZERO;
-        }
-        if b.is_one() {
-            return a;
-        }
-        if a == b {
-            return WeightId::ONE;
-        }
-        let z = self.value(a) / self.value(b);
-        self.intern(z)
-    }
-
-    /// Interned complex conjugate.
-    pub fn conj(&mut self, a: WeightId) -> WeightId {
-        let z = self.value(a).conj();
-        self.intern(z)
-    }
-
-    /// Interned scalar multiple by a real factor.
-    pub fn scale_real(&mut self, a: WeightId, factor: f64) -> WeightId {
-        if a.is_zero() || factor == 0.0 {
-            if factor == 0.0 {
-                return WeightId::ZERO;
-            }
-            return a;
-        }
-        let z = self.value(a) * factor;
-        self.intern(z)
-    }
-
-    /// The modulus of the value behind `a`.
-    pub fn magnitude(&self, a: WeightId) -> f64 {
-        self.value(a).abs()
-    }
-
-    /// Bytes of backing storage the table holds: value-arena capacity
-    /// plus the bucket index (map capacity with one control byte per
-    /// bucket, the std hash-table layout, plus each bucket's id list) —
-    /// the private counterpart of the shared store's byte accounting.
-    pub fn bytes_used(&self) -> usize {
-        let entry = std::mem::size_of::<(i64, i64)>() + std::mem::size_of::<Vec<u32>>();
-        self.values.capacity() * std::mem::size_of::<C64>()
-            + self.buckets.capacity() * (entry + 1)
-            + self
-                .buckets
-                .values()
-                .map(|ids| ids.capacity() * std::mem::size_of::<u32>())
-                .sum::<usize>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The one-worker interning rules behind these handles: first-seen
+    //! tolerance gluing over a manager's whole life, seeded with exact 0
+    //! and 1 (see `crate::manager`).
+
     use super::*;
+    use crate::TddManager;
+    use qaec_math::C64;
 
     #[test]
     fn constants() {
-        let table = WeightTable::new(1e-10);
-        assert_eq!(table.value(WeightId::ZERO), C64::ZERO);
-        assert_eq!(table.value(WeightId::ONE), C64::ONE);
+        let m = TddManager::new();
+        assert_eq!(m.weight_value(WeightId::ZERO), C64::ZERO);
+        assert_eq!(m.weight_value(WeightId::ONE), C64::ONE);
         assert!(WeightId::ZERO.is_zero());
         assert!(WeightId::ONE.is_one());
-        assert_eq!(table.len(), 2);
+        assert_eq!(m.store().weight_count(), 2);
     }
 
     #[test]
     fn near_values_merge() {
-        let mut t = WeightTable::new(1e-10);
-        let a = t.intern(C64::new(0.25, 0.75));
-        let b = t.intern(C64::new(0.25 + 5e-11, 0.75 - 5e-11));
+        let mut m = TddManager::new();
+        let a = m.intern_weight(C64::new(0.25, 0.75));
+        let b = m.intern_weight(C64::new(0.25 + 5e-11, 0.75 - 5e-11));
         assert_eq!(a, b);
-        let c = t.intern(C64::new(0.25 + 5e-9, 0.75));
+        assert_eq!(m.weight_value(b), C64::new(0.25, 0.75), "first seen wins");
+        let c = m.intern_weight(C64::new(0.25 + 5e-9, 0.75));
         assert_ne!(a, c);
     }
 
     #[test]
+    fn near_one_glues_to_the_exact_one() {
+        let mut m = TddManager::new();
+        assert_eq!(
+            m.intern_weight(C64::new(1.0 + 5e-11, -5e-11)),
+            WeightId::ONE
+        );
+        assert_eq!(m.intern_weight(C64::new(1.0 - 1e-15, 0.0)), WeightId::ONE);
+    }
+
+    #[test]
     fn near_zero_snaps() {
-        let mut t = WeightTable::new(1e-10);
-        assert_eq!(t.intern(C64::new(1e-12, -1e-12)), WeightId::ZERO);
-        assert_ne!(t.intern(C64::new(1e-8, 0.0)), WeightId::ZERO);
+        let mut m = TddManager::new();
+        assert_eq!(m.intern_weight(C64::new(1e-12, -1e-12)), WeightId::ZERO);
+        assert_ne!(m.intern_weight(C64::new(1e-8, 0.0)), WeightId::ZERO);
     }
 
     #[test]
     fn boundary_values_across_buckets_still_merge() {
         // Values straddling a bucket boundary must still be unified by the
         // 3×3 probe.
-        let mut t = WeightTable::new(1e-10);
+        let mut m = TddManager::new();
         let w = 2e-10; // bucket width
         let base = 17.0 * w + w / 2.0; // near a boundary
-        let a = t.intern(C64::new(base - 4e-11, 0.0));
-        let b = t.intern(C64::new(base + 4e-11, 0.0));
+        let a = m.intern_weight(C64::new(base - 4e-11, 0.0));
+        let b = m.intern_weight(C64::new(base + 4e-11, 0.0));
         assert_eq!(a, b);
     }
 
     #[test]
     fn arithmetic() {
-        let mut t = WeightTable::new(1e-10);
-        let half = t.intern(C64::real(0.5));
-        let two = t.intern(C64::real(2.0));
-        assert_eq!(t.mul(half, two), WeightId::ONE);
-        assert_eq!(t.mul(half, WeightId::ZERO), WeightId::ZERO);
-        assert_eq!(t.add(WeightId::ZERO, half), half);
-        let one = t.add(half, half);
+        let mut m = TddManager::new();
+        let half = m.intern_weight(C64::real(0.5));
+        let two = m.intern_weight(C64::real(2.0));
+        assert_eq!(m.wmul(half, two), WeightId::ONE);
+        assert_eq!(m.wmul(half, WeightId::ZERO), WeightId::ZERO);
+        assert_eq!(m.wadd(WeightId::ZERO, half), half);
+        let one = m.wadd(half, half);
         assert_eq!(one, WeightId::ONE);
-        assert_eq!(t.div(half, half), WeightId::ONE);
-        assert_eq!(t.div(WeightId::ZERO, two), WeightId::ZERO);
-        let i = t.intern(C64::I);
-        let minus_i = t.conj(i);
-        assert_eq!(t.value(minus_i), C64::new(0.0, -1.0));
-        assert_eq!(t.scale_real(half, 4.0), two);
+        assert_eq!(m.wdiv(half, half), WeightId::ONE);
+        assert_eq!(m.wdiv(WeightId::ZERO, two), WeightId::ZERO);
+        let i = m.intern_weight(C64::I);
+        let minus_i = m.intern_weight(m.weight_value(i).conj());
+        assert_eq!(m.weight_value(minus_i), C64::new(0.0, -1.0));
+        assert_eq!(m.wscale_real(half, 4.0), two);
     }
 
     #[test]
     #[should_panic(expected = "division by the zero weight")]
     fn division_by_zero_panics() {
-        let mut t = WeightTable::new(1e-10);
-        let one = WeightId::ONE;
-        t.div(one, WeightId::ZERO);
+        let mut m = TddManager::new();
+        m.wdiv(WeightId::ONE, WeightId::ZERO);
     }
 
     #[test]
     fn cancellation_in_add_returns_zero() {
-        let mut t = WeightTable::new(1e-10);
-        let a = t.intern(C64::real(0.3));
-        let b = t.intern(C64::real(-0.3));
-        assert_eq!(t.add(a, b), WeightId::ZERO);
+        let mut m = TddManager::new();
+        let a = m.intern_weight(C64::real(0.3));
+        let b = m.intern_weight(C64::real(-0.3));
+        assert_eq!(m.wadd(a, b), WeightId::ZERO);
     }
 
     #[test]
     fn magnitudes() {
-        let mut t = WeightTable::new(1e-10);
-        let z = t.intern(C64::new(3.0, 4.0));
-        assert!((t.magnitude(z) - 5.0).abs() < 1e-12);
+        let mut m = TddManager::new();
+        let z = m.intern_weight(C64::new(3.0, 4.0));
+        assert!((m.wmagnitude(z) - 5.0).abs() < 1e-12);
     }
 }

@@ -102,8 +102,8 @@ fn check_alg2_reports_identically_for_any_thread_count() {
     }
 }
 
-/// Algorithm I cross-checks the parallel Algorithm II driver, on the
-/// shared store (4 workers) and on the private one-worker store alike.
+/// Algorithm I cross-checks the parallel Algorithm II driver, at 4
+/// workers and at one worker alike.
 #[test]
 fn parallel_alg2_agrees_with_alg1() {
     for (name, ideal, noisy) in fixtures() {

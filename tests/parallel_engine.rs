@@ -51,10 +51,11 @@ fn instance() -> impl proptest::strategy::Strategy<Value = (Circuit, Circuit)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The shared store's acceptance property: `threads ∈ {2, 3, 4}`
+    /// The multi-worker acceptance property: `threads ∈ {2, 3, 4}`
     /// produce **bit-identical** fidelity bounds and term counts
-    /// (`f64::to_bits` equality). The one-worker private store must
-    /// still agree with them to interning-tolerance accuracy.
+    /// (`f64::to_bits` equality). The one-worker run (exact run-long
+    /// interning) must still agree with them to interning-tolerance
+    /// accuracy.
     #[test]
     fn shared_store_runs_are_bit_identical_across_thread_counts((ideal, noisy) in instance()) {
         for term_order in [TermOrder::Lexicographic, TermOrder::BestFirst] {
@@ -77,13 +78,13 @@ proptest! {
                 );
                 prop_assert_eq!(par.terms_computed, reference.terms_computed);
             }
-            let private = fidelity_alg1(
+            let one_worker = fidelity_alg1(
                 &ideal, &noisy, None, &with_threads(1, term_order),
-            ).expect("sequential private");
+            ).expect("sequential");
             prop_assert!(
-                (reference.fidelity_lower - private.fidelity_lower).abs() < 1e-8,
-                "backends diverged: shared {} vs private {}",
-                reference.fidelity_lower, private.fidelity_lower
+                (reference.fidelity_lower - one_worker.fidelity_lower).abs() < 1e-8,
+                "interning families diverged: grid {} vs run-long {}",
+                reference.fidelity_lower, one_worker.fidelity_lower
             );
         }
     }
@@ -219,10 +220,10 @@ fn parallel_max_terms_and_epsilon_compose() {
 
 /// The Monte-Carlo sample stream is a function of the seed alone: thread
 /// count changes only which worker contracts which distinct string. On
-/// the shared store every string's trace is scheduling-independent, so
-/// the estimate is **bit-identical** for every multi-worker count; the
-/// one-worker private store is bit-reproducible on its own and agrees
-/// with the shared store to the weight-interning tolerance.
+/// the canonical grid every string's trace is scheduling-independent,
+/// so the estimate is **bit-identical** for every multi-worker count;
+/// the one-worker run is bit-reproducible on its own and agrees with
+/// them to the weight-interning tolerance.
 #[test]
 fn monte_carlo_estimate_is_thread_count_stable() {
     let ideal = random_circuit(2, 8, 41);
@@ -340,8 +341,9 @@ fn shared_store_reduces_aggregate_allocations() {
 /// new batch, the imports land (seed_imports) and pay off (seed_hits),
 /// and — because seeded entries are value-identical to recomputation on
 /// the canonical shared store — the result stays bit-identical to a
-/// run with a different worker count. A one-worker private run never
-/// seeds.
+/// run with a different worker count. A one-worker run never seeds:
+/// it has nobody to import from, and its run-long scope is not
+/// canonical.
 #[test]
 fn cont_cache_seeding_imports_pay_off_and_preserve_results() {
     let ideal = qft(3, QftStyle::DecomposedNoSwaps);
@@ -369,7 +371,82 @@ fn cont_cache_seeding_imports_pay_off_and_preserve_results() {
         run(2).fidelity_lower.to_bits(),
         "seeding may only transplant work, never change values"
     );
-    let private = run(1);
-    assert_eq!(private.stats.seed_imports, 0);
-    assert_eq!(private.stats.seed_hits, 0);
+    let one_worker = run(1);
+    assert_eq!(one_worker.stats.seed_imports, 0);
+    assert_eq!(one_worker.stats.seed_hits, 0);
+}
+
+/// The three fixed pairs the one-worker golden test pins: the smoke
+/// fixture pair, the same pair with its noise turned into the identity
+/// channel (`depolarizing(1.0)`), and a random three-qubit pair with
+/// three depolarizing sites (64 trace terms).
+fn golden_pairs() -> Vec<(&'static str, Circuit, Circuit)> {
+    let parse = |text: &str| qaec_circuit::qasm::parse(text).expect("fixture parses");
+    let qft3 = include_str!("../fixtures/smoke/qft3.qasm");
+    let depol = include_str!("../fixtures/smoke/qft3_depol.qasm");
+    let ideal = random_circuit(3, 12, 5);
+    let noisy = insert_random_noise(&ideal, &NoiseChannel::Depolarizing { p: 0.97 }, 3, 9);
+    vec![
+        ("smoke_qft3", parse(qft3), parse(depol)),
+        (
+            "identity_depol1",
+            parse(qft3),
+            parse(&depol.replace("depolarizing(0.999)", "depolarizing(1.0)")),
+        ),
+        ("random_depol", ideal, noisy),
+    ]
+}
+
+/// One-worker results, bit for bit: Algorithm I `fidelity_lower` /
+/// `fidelity_upper` and Monte-Carlo `estimate` / `std_error` as
+/// `f64::to_bits`, pinned so a change to the node store or to weight
+/// interning cannot move a one-worker answer by even one ulp.
+#[test]
+fn one_worker_results_are_pinned_bit_for_bit() {
+    const GOLDEN: [(&str, [u64; 4]); 3] = [
+        (
+            "smoke_qft3",
+            [
+                4607164413408707185,
+                4607164413408707185,
+                4607159900801880563,
+                4567911030049346685,
+            ],
+        ),
+        (
+            "identity_depol1",
+            [
+                4607182418800017408,
+                4607182418800017408,
+                4607182418800017408,
+                0,
+            ],
+        ),
+        (
+            "random_depol",
+            [
+                4606395847110698641,
+                4606395847110698641,
+                4606304216872680160,
+                4579714320430973825,
+            ],
+        ),
+    ];
+    let options = with_threads(1, TermOrder::BestFirst);
+    for ((name, ideal, noisy), (golden_name, golden)) in golden_pairs().iter().zip(GOLDEN) {
+        assert_eq!(*name, golden_name);
+        let alg1 = fidelity_alg1(ideal, noisy, None, &options).expect("alg1");
+        let mc = fidelity_monte_carlo(ideal, noisy, 400, 7, &options).expect("mc");
+        let got = [
+            alg1.fidelity_lower.to_bits(),
+            alg1.fidelity_upper.to_bits(),
+            mc.estimate.to_bits(),
+            mc.std_error.to_bits(),
+        ];
+        assert_eq!(
+            got, golden,
+            "{name}: one-worker results moved (lower {}, upper {}, mc {} ± {})",
+            alg1.fidelity_lower, alg1.fidelity_upper, mc.estimate, mc.std_error
+        );
+    }
 }

@@ -57,11 +57,10 @@ fn reparameterise(noisy: &Circuit, p: f64) -> Circuit {
 }
 
 /// Compile-once / query-many returns the one-shot values bit for bit,
-/// on every backend and store: the sequential private Algorithm I path
-/// is the identical code path either way, and every shared-store run
-/// (Algorithm I at four threads, Algorithm II always) is
-/// bit-deterministic because canonical interning makes warm reuse
-/// value-transparent.
+/// on every backend and worker count: a one-worker Algorithm I run
+/// interns in its own run-long scope, multi-worker Algorithm I on the
+/// canonical grid and Algorithm II in per-step scopes — each a pure
+/// function of the values it sees, so warm reuse is value-transparent.
 #[test]
 fn compiled_fidelity_matches_one_shot_across_backends() {
     let (ideal, noisy) = fixture(3, 4);
@@ -200,10 +199,9 @@ fn noise_sweep_matches_cold_checks_bitwise() {
                 let cold_verdict = check_equivalence(&ideal, &cold_noisy, eps, &opts)
                     .expect("cold check")
                     .verdict;
-                // Exhaustive sums on the shared store (alg2 always,
-                // alg1 at t4) are bit-deterministic; the private
-                // sequential alg1 path is the identical code path
-                // either way.
+                // Exhaustive sums are bit-deterministic on every
+                // backend and worker count; warm reuse never moves a
+                // value.
                 assert_eq!(
                     point.fidelity.to_bits(),
                     cold_f.to_bits(),
@@ -237,7 +235,7 @@ fn warm_store_stats_are_epoch_fenced_per_point() {
     // Algorithm II with the shared store at one worker: deterministic
     // and warm across the whole batch. Single-point sweeps: the epoch
     // fencing under test is a property of the scalar warm-store path (a
-    // lane batch contracts on its own private manager and reports the
+    // lane batch contracts on its own lane manager and reports the
     // batch's allocations instead). Reclamation off: the store must stay
     // warm between the points whatever QAEC_STORE_RECLAIM says.
     let compiled = Checker::new(&ideal, &noisy)

@@ -129,8 +129,8 @@ fn lane_batches_report_shared_batch_evidence() {
 
 /// `sweep_noise_verdicts` (ε-aware, early-exit) agrees with the exact
 /// sweep's decisions and with itself run one strength at a time, on
-/// both backends at one and two threads (Algorithm I's private and
-/// shared stores). The ε is chosen to split the strength range, so
+/// both backends at one and two threads (Algorithm I's exact and grid
+/// interning). The ε is chosen to split the strength range, so
 /// both verdicts actually occur.
 #[test]
 fn verdicts_sweep_matches_exact_sweep_and_point_by_point_runs() {
